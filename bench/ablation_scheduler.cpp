@@ -1,15 +1,12 @@
-// Ablation of the inner-update scheduling strategy (design choice in
-// DESIGN.md §5): the PR-1-era global mutex queue vs the paper's central
-// concurrent queue with idle-triggered re-splitting (Algorithm 2, now on the
-// lock-free Chase–Lev substrate) vs classic per-worker work stealing — with
-// and without a persistent (warm) queue — vs static seed partitioning.
-// Identical updates, identical traversal code — only the scheduler differs.
+// Ablation of the inner-update scheduling strategy (Config::scheduler,
+// DESIGN.md §4): static seed partitioning vs the paper's central concurrent
+// queue with idle-triggered re-splitting (Algorithm 2) vs work stealing on
+// the same queue. Identical updates, identical traversal code — only the
+// scheduler differs, so the `matches` column must agree across arms.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
 #include "paracosm/inner_executor.hpp"
-#include "paracosm/steal_executor.hpp"
-#include "paracosm/task_queue.hpp"
 
 using namespace paracosm;
 using namespace paracosm::bench;
@@ -49,76 +46,11 @@ SchedulerTotals drive(const Workload& wl, const graph::QueryGraph& q, Runner&& r
   return totals;
 }
 
-/// The PR-1-era scheduler, reconstructed on the retained MutexTaskQueue:
-/// one global queue, every push/pop behind its mutex, the same adaptive
-/// split predicate. This is the "before" of the lock-free rewrite.
-class MutexQueueExecutor {
- public:
-  MutexQueueExecutor(engine::WorkerPool& pool, std::uint32_t split_depth)
-      : pool_(pool), split_depth_(split_depth) {}
-
-  engine::InnerRunResult run(const csm::CsmAlgorithm& alg,
-                             std::vector<csm::SearchTask> seeds) {
-    engine::InnerRunResult result;
-    if (seeds.empty()) return result;
-    result.stats.ensure_size(pool_.size());
-    engine::MutexTaskQueue queue;
-
-    util::ThreadCpuTimer serial_timer;
-    for (csm::SearchTask& seed : seeds) queue.push(std::move(seed));
-    result.stats.serial_ns += serial_timer.elapsed_ns();
-
-    pool_.run([&](unsigned wid) {
-      engine::WorkerStats& ws = result.stats.workers[wid];
-      csm::MatchSink sink;
-      Hook hook(queue, split_depth_, ws);
-      while (auto task = queue.pop_or_finish()) {
-        util::ThreadCpuTimer timer;
-        alg.expand(*task, sink, &hook);
-        queue.retire();
-        ++ws.tasks;
-        ws.busy_ns += timer.elapsed_ns();
-      }
-      ws.nodes += sink.nodes;
-      ws.matches += sink.matches;
-    });
-    for (const engine::WorkerStats& ws : result.stats.workers) {
-      result.matches += ws.matches;
-      result.nodes += ws.nodes;
-    }
-    return result;
-  }
-
- private:
-  class Hook final : public csm::SplitHook {
-   public:
-    Hook(engine::MutexTaskQueue& queue, std::uint32_t split_depth,
-         engine::WorkerStats& ws) noexcept
-        : queue_(queue), split_depth_(split_depth), ws_(ws) {}
-    [[nodiscard]] bool want_offload(std::uint32_t depth) noexcept override {
-      return depth < split_depth_ && queue_.approx_size() == 0 &&
-             queue_.has_idle_workers();
-    }
-    void offload(csm::SearchTask&& task) override {
-      ++ws_.offloads;
-      queue_.push(std::move(task));
-    }
-
-   private:
-    engine::MutexTaskQueue& queue_;
-    std::uint32_t split_depth_;
-    engine::WorkerStats& ws_;
-  };
-
-  engine::WorkerPool& pool_;
-  std::uint32_t split_depth_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   util::Cli cli = standard_cli("ablation_scheduler",
-                               "Ablation: mutex queue vs lock-free schedulers");
+                               "Ablation: static vs central-queue vs stealing");
   cli.option("query-size", "8",
              "Query graph size (8 = the heavy-tailed regime where the "
              "schedulers diverge)");
@@ -132,9 +64,8 @@ int main(int argc, char** argv) {
 
   print_experiment_banner(
       "Ablation: inner-update scheduler",
-      "Global mutex queue vs central concurrent queue (Algorithm 2, "
-      "Chase-Lev substrate) vs work stealing (cold / persistent), GraphFlow, "
-      "LiveJournal-hard stand-in");
+      "Static partition vs central concurrent queue (Algorithm 2) vs work "
+      "stealing, GraphFlow, LiveJournal-hard stand-in");
 
   Workload wl = build_workload(livejournal_hard_spec(scale, 8),
                                static_cast<std::uint32_t>(cli.get_int("query-size")),
@@ -158,42 +89,19 @@ int main(int argc, char** argv) {
   };
 
   double static_ms = 0;
-  for (const char* which : {"static", "mutex-queue", "central-queue",
-                            "work-stealing-cold", "work-stealing"}) {
-    const std::string_view name(which);
+  for (const engine::Scheduler scheduler :
+       {engine::Scheduler::kStatic, engine::Scheduler::kCentralQueue,
+        engine::Scheduler::kWorkStealing}) {
+    const std::string which(engine::scheduler_name(scheduler));
     SchedulerTotals sum;
     for (const auto& q : wl.queries) {
-      if (name == "mutex-queue") {
-        MutexQueueExecutor exec(pool, 4);
-        accumulate(sum, drive(wl, q, [&](const auto& alg, auto seeds) {
-                     return exec.run(alg, std::move(seeds));
-                   }));
-      } else if (name == "central-queue") {
-        engine::InnerExecutor exec(pool, 4, /*dynamic_balance=*/true);
-        accumulate(sum, drive(wl, q, [&](const auto& alg, auto seeds) {
-                     return exec.run(alg, std::move(seeds));
-                   }));
-      } else if (name == "work-stealing-cold") {
-        // A fresh executor per update: cold deque rings, no recycled task
-        // nodes — isolates what queue persistence buys.
-        accumulate(sum, drive(wl, q, [&](const auto& alg, auto seeds) {
-                     engine::StealingExecutor exec(pool, 4);
-                     return exec.run(alg, std::move(seeds));
-                   }));
-      } else if (name == "work-stealing") {
-        engine::StealingExecutor exec(pool, 4);
-        accumulate(sum, drive(wl, q, [&](const auto& alg, auto seeds) {
-                     return exec.run(alg, std::move(seeds));
-                   }));
-      } else {
-        engine::InnerExecutor exec(pool, 4, /*dynamic_balance=*/false);
-        accumulate(sum, drive(wl, q, [&](const auto& alg, auto seeds) {
-                     return exec.run(alg, std::move(seeds));
-                   }));
-      }
+      engine::InnerExecutor exec(pool, 4, scheduler);
+      accumulate(sum, drive(wl, q, [&](const auto& alg, auto seeds) {
+                   return exec.run(alg, std::move(seeds));
+                 }));
     }
     const double ms = static_cast<double>(sum.makespan_ns) / 1e6;
-    if (name == "static") static_ms = ms;
+    if (scheduler == engine::Scheduler::kStatic) static_ms = ms;
     table.row({which, util::Table::num(ms, 3),
                util::Table::num(static_cast<double>(sum.cpu_ns) / 1e6, 3),
                util::Table::num(static_cast<double>(sum.steals_ok), 0),

@@ -23,7 +23,8 @@ std::vector<std::int64_t> thread_times(const Workload& wl, unsigned threads,
     cfg.algorithm = "graphflow";
     cfg.mode = Mode::kInnerOnly;
     cfg.threads = threads;
-    cfg.dynamic_balance = balanced;
+    cfg.scheduler =
+        balanced ? engine::Scheduler::kCentralQueue : engine::Scheduler::kStatic;
     cfg.timeout_ms = timeout_ms;
     const RunResult r = run_stream(wl, q, cfg);
     for (std::size_t i = 0; i < r.worker_busy_ns.size() && i < totals.size(); ++i)

@@ -1,10 +1,9 @@
 // Scheduler microbenchmark: isolates the runtime substrate from the search.
 //
 // Part 1 drives a synthetic two-level task tree (trivial per-task work)
-// through the retained global mutex queue and the lock-free Chase–Lev queue
-// at 1/2/4/8 threads and reports scheduler CPU cost per task — on the
-// single-core CI box wall clock measures timeslicing, CPU time measures the
-// actual push/pop/steal overhead, which is what the rewrite targets.
+// through the lock-free Chase–Lev queue at 1/2/4/8 threads and reports
+// scheduler CPU cost per task — on a single-core box wall clock measures
+// timeslicing, CPU time measures the actual push/pop/steal overhead.
 //
 // Part 2 measures the persistent pool's fork/join dispatch overhead
 // (WorkerPool::last_dispatch_ns) for an empty job, spinning workers vs
@@ -38,7 +37,9 @@ csm::SearchTask make_task(std::uint32_t depth) {
 
 /// CPU ns/task for the lock-free per-worker-deque queue.
 double bench_cl_queue(unsigned threads) {
-  engine::TaskQueue queue(threads, engine::QueueKnobs{.spin_iters = 64});
+  const util::VictimTable victims =
+      util::make_victim_table(util::assign_workers(util::HwTopology::flat(threads), threads));
+  engine::TaskQueue queue(victims, 64);
   std::int64_t cpu_ns = 0;
   for (int round = 0; round < kRounds; ++round) {
     for (int i = 0; i < kSeeds; ++i) queue.seed(make_task(1));
@@ -50,32 +51,6 @@ double bench_cl_queue(unsigned threads) {
         while (auto task = queue.pop_or_finish(w)) {
           if (task->depth() == 1)
             for (int c = 0; c < kChildrenPerSeed; ++c) queue.push(w, make_task(2));
-          queue.retire();
-        }
-        worker_ns[w] = timer.elapsed_ns();
-      });
-    }
-    for (auto& t : workers) t.join();
-    for (const std::int64_t ns : worker_ns) cpu_ns += ns;
-  }
-  return static_cast<double>(cpu_ns) /
-         static_cast<double>(kTasksPerRound * kRounds);
-}
-
-/// CPU ns/task for the PR-1-era global mutex queue.
-double bench_mutex_queue(unsigned threads) {
-  std::int64_t cpu_ns = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    engine::MutexTaskQueue queue;
-    for (int i = 0; i < kSeeds; ++i) queue.push(make_task(1));
-    std::vector<std::int64_t> worker_ns(threads, 0);
-    std::vector<std::thread> workers;
-    for (unsigned w = 0; w < threads; ++w) {
-      workers.emplace_back([&, w] {
-        util::ThreadCpuTimer timer;
-        while (auto task = queue.pop_or_finish()) {
-          if (task->depth() == 1)
-            for (int c = 0; c < kChildrenPerSeed; ++c) queue.push(make_task(2));
           queue.retire();
         }
         worker_ns[w] = timer.elapsed_ns();
@@ -109,8 +84,8 @@ int main(int argc, char** argv) {
 
   print_experiment_banner(
       "Micro: scheduler substrate",
-      "Task-queue CPU cost per task (mutex vs Chase-Lev) and worker-pool "
-      "dispatch overhead (spin vs park-always), synthetic task tree");
+      "Task-queue CPU cost per task (Chase-Lev) and worker-pool dispatch "
+      "overhead (spin vs park-always), synthetic task tree");
 
   util::Table table({"metric", "variant", "threads", "ns"});
   util::CsvWriter csv(results_path("micro_scheduler"),
@@ -122,8 +97,6 @@ int main(int argc, char** argv) {
              util::CsvWriter::num(ns, 1)});
   };
 
-  for (unsigned threads : {1u, 2u, 4u, 8u})
-    row("cpu_per_task", "mutex-queue", threads, bench_mutex_queue(threads));
   for (unsigned threads : {1u, 2u, 4u, 8u})
     row("cpu_per_task", "cl-queue", threads, bench_cl_queue(threads));
   for (unsigned threads : {2u, 4u, 8u})

@@ -244,7 +244,9 @@ void BM_ClassifierLatency(benchmark::State& state) {
 BENCHMARK(BM_ClassifierLatency);
 
 void BM_TaskQueuePushPop(benchmark::State& state) {
-  engine::TaskQueue queue(1);
+  const util::VictimTable victims =
+      util::make_victim_table(util::assign_workers(util::HwTopology::flat(1), 1));
+  engine::TaskQueue queue(victims);
   csm::SearchTask task{{{0, 1}, {1, 2}}};
   for (auto _ : state) {
     queue.push(0, csm::SearchTask(task));
@@ -255,19 +257,6 @@ void BM_TaskQueuePushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TaskQueuePushPop);
-
-void BM_MutexTaskQueuePushPop(benchmark::State& state) {
-  engine::MutexTaskQueue queue;
-  csm::SearchTask task{{{0, 1}, {1, 2}}};
-  for (auto _ : state) {
-    queue.push(csm::SearchTask(task));
-    auto popped = queue.try_pop();
-    benchmark::DoNotOptimize(popped);
-    queue.retire();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MutexTaskQueuePushPop);
 
 }  // namespace
 

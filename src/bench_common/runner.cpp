@@ -66,7 +66,7 @@ namespace {
   pc_cfg.threads = cfg.threads;
   pc_cfg.split_depth = cfg.split_depth;
   pc_cfg.batch_size = cfg.batch_size;
-  pc_cfg.dynamic_balance = cfg.dynamic_balance;
+  pc_cfg.scheduler = cfg.scheduler;
   pc_cfg.batch_mode = cfg.batch_mode;
   pc_cfg.inner_parallelism = cfg.mode != Mode::kInterOnly;
   pc_cfg.inter_parallelism = cfg.mode != Mode::kInnerOnly;

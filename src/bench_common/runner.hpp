@@ -32,7 +32,7 @@ struct RunConfig {
   std::uint32_t split_depth = 4;
   unsigned batch_size = 0;  // 0 -> threads
   std::int64_t timeout_ms = 0;  // 0 -> none; whole-stream budget (paper metric)
-  bool dynamic_balance = true;
+  engine::Scheduler scheduler = engine::Scheduler::kCentralQueue;
   engine::BatchMode batch_mode = engine::BatchMode::kStrict;
 
   /// Parallel modes on the single-core container: the run is given

@@ -10,15 +10,35 @@
 
 namespace paracosm::engine {
 
-/// Inner-update scheduling strategy.
+/// Inner-update scheduling strategy (inner_executor.hpp).
 enum class Scheduler : std::uint8_t {
   /// The paper's Algorithm 2: one concurrent queue, idle-triggered
   /// re-splitting.
   kCentralQueue,
-  /// Per-worker deques with stealing (see steal_executor.hpp); often faster
-  /// when updates produce plentiful fan-out.
+  /// The same queue with owners keeping their deques primed for thieves;
+  /// faster when updates produce plentiful fan-out (DESIGN.md §4).
   kWorkStealing,
+  /// Static round-robin seed partition, no re-balancing: the "unbalanced"
+  /// baseline of the paper's Figure 10.
+  kStatic,
 };
+
+[[nodiscard]] constexpr std::string_view scheduler_name(Scheduler s) noexcept {
+  switch (s) {
+    case Scheduler::kCentralQueue: return "central";
+    case Scheduler::kWorkStealing: return "stealing";
+    case Scheduler::kStatic: return "static";
+  }
+  return "?";
+}
+
+[[nodiscard]] constexpr std::optional<Scheduler> parse_scheduler(
+    std::string_view name) noexcept {
+  if (name == "central") return Scheduler::kCentralQueue;
+  if (name == "stealing") return Scheduler::kWorkStealing;
+  if (name == "static") return Scheduler::kStatic;
+  return std::nullopt;
+}
 
 /// Semantics of the inter-update batch executor.
 enum class BatchMode : std::uint8_t {
@@ -78,10 +98,6 @@ struct Config {
   /// Enable inter-update parallelism (classifier + batch executor).
   bool inter_parallelism = true;
 
-  /// Dynamic task re-splitting / load balancing. Disabling reproduces the
-  /// "unbalanced" baseline of the paper's Figure 10 (static seed partition).
-  bool dynamic_balance = true;
-
   BatchMode batch_mode = BatchMode::kStrict;
 
   Scheduler scheduler = Scheduler::kCentralQueue;
@@ -103,11 +119,6 @@ struct Config {
   /// topology came from a real sysfs tree — emulated/flat topologies carry
   /// CPU ids that may not exist, so pinning is skipped for them.
   bool pin_threads = false;
-
-  /// Order steal victims by topology distance (SMT sibling → same node →
-  /// remote, with bounded remote back-off). OFF reproduces the PR-2 flat
-  /// randomized sweep — the ablation baseline.
-  bool topo_aware_steal = true;
 
   /// Batch classifier backend (DESIGN.md §11). Every backend produces
   /// byte-identical verdicts (and therefore identical ΔM); they differ only

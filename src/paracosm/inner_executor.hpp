@@ -1,22 +1,31 @@
 // Inner-update executor (paper §4.1, Algorithm 2).
 //
-// Initialization phase: root-level tasks (the update's seeds) are expanded
-// breadth-first on the main thread until the concurrent queue holds at least
-// one task per worker, decomposing the search tree into independent
-// subtrees. Parallel phase: workers pop tasks and run the algorithm's own
-// traversal routine; the injected split hook re-offloads direct subtasks
-// whenever idle workers are observed, the queue is empty, and the depth is
-// below SPLIT_DEPTH — the paper's adaptive task-sharing rule.
+// Config::scheduler picks how one update's search tree is spread over the
+// pool:
+//   * kCentralQueue (the paper) — initialization phase: root-level tasks
+//     (the update's seeds) are expanded breadth-first on the main thread
+//     until the concurrent queue holds at least one task per worker,
+//     decomposing the search tree into independent subtrees. Parallel
+//     phase: workers pop tasks and run the algorithm's own traversal
+//     routine; the injected split hook re-offloads direct subtasks whenever
+//     idle workers are observed, the queue is empty, and the depth is below
+//     SPLIT_DEPTH — the paper's adaptive task-sharing rule.
+//   * kWorkStealing — no initialization phase; the split hook keeps each
+//     owner's deque primed with a few stealable tasks while the depth budget
+//     lasts, whether or not anyone is idle yet. Owners pop LIFO (deepest
+//     subtree first), thieves steal FIFO (largest remaining subtrees first).
+//   * kStatic — round-robin seed partition with no queue and no splitting:
+//     the "unbalanced" baseline of the paper's Figure 10.
 //
-// The concurrent queue is the lock-free per-worker-deque CQ of
-// task_queue.hpp and PERSISTS across run() calls, so steady-state updates
-// reuse warm deque rings and recycled task nodes. Match callbacks are
-// buffered per worker and delivered merged + lexicographically sorted after
-// quiescence (match_buffer.hpp) — no lock on the match path.
+// Both queue policies share one worker loop and one concurrent queue — the
+// lock-free per-worker-deque CQ of task_queue.hpp, which PERSISTS across
+// run() calls so steady-state updates reuse warm deque rings and recycled
+// task nodes. Match callbacks are buffered per worker and delivered merged +
+// lexicographically sorted after quiescence (match_buffer.hpp) — no lock on
+// the match path.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <span>
 
 #include "csm/algorithm.hpp"
@@ -38,9 +47,11 @@ struct InnerRunResult {
 
 class InnerExecutor {
  public:
-  InnerExecutor(WorkerPool& pool, std::uint32_t split_depth, bool dynamic_balance,
-                QueueKnobs knobs = {});
-  ~InnerExecutor();
+  /// `queue_spin_iters`: see TaskQueue's constructor. The queue sweeps the
+  /// pool's victim table, so `pool` must outlive the executor.
+  InnerExecutor(WorkerPool& pool, std::uint32_t split_depth,
+                Scheduler scheduler = Scheduler::kCentralQueue,
+                std::uint32_t queue_spin_iters = 256);
 
   InnerExecutor(const InnerExecutor&) = delete;
   InnerExecutor& operator=(const InnerExecutor&) = delete;
@@ -61,25 +72,22 @@ class InnerExecutor {
   [[nodiscard]] std::uint32_t split_depth() const noexcept {
     return split_depth_;
   }
+  [[nodiscard]] Scheduler scheduler() const noexcept { return scheduler_; }
 
  private:
-  [[nodiscard]] InnerRunResult run_dynamic(
-      const csm::CsmAlgorithm& alg, std::vector<csm::SearchTask> seeds,
-      util::Clock::time_point deadline,
-      const std::function<void(std::span<const csm::Assignment>)>* on_match,
-      util::CancelView cancel);
-  /// Static round-robin seed partition with no re-balancing — the
-  /// "unbalanced" baseline of Figure 10.
-  [[nodiscard]] InnerRunResult run_static(
-      const csm::CsmAlgorithm& alg, std::vector<csm::SearchTask> seeds,
-      util::Clock::time_point deadline,
-      const std::function<void(std::span<const csm::Assignment>)>* on_match,
-      util::CancelView cancel);
-
   WorkerPool& pool_;
   std::uint32_t split_depth_;
-  bool dynamic_balance_;
-  std::unique_ptr<TaskQueue> queue_;  ///< persistent CQ, warm across updates
+  Scheduler scheduler_;
+  TaskQueue queue_;  ///< persistent CQ, warm across updates
+};
+
+/// The inner-update runtime each engine owns, built from Config: the worker
+/// pool (threads, dispatch spin budget, pinning) and the executor over it.
+struct InnerRuntime {
+  explicit InnerRuntime(const Config& config);
+
+  WorkerPool pool;
+  InnerExecutor inner;
 };
 
 }  // namespace paracosm::engine

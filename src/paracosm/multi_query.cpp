@@ -65,34 +65,10 @@ void MultiQueryEngine::TouchedSet::insert(const VertexId v) noexcept {
 // ---------------------------------------------------------------------------
 // Registration
 
-namespace {
-
-// Same wiring as ParaCosm's ctor: the pool member precedes the executor, so
-// the victim table pointer stays valid for the queue's lifetime.
-[[nodiscard]] PoolOptions mq_pool_options(const Config& config) {
-  PoolOptions o;
-  o.spin_iters = config.pool_spin_iters;
-  o.pin = config.pin_threads;
-  return o;
-}
-
-[[nodiscard]] QueueKnobs mq_queue_knobs(const Config& config,
-                                        const WorkerPool& pool) {
-  QueueKnobs k;
-  k.spin_iters = config.queue_spin_iters;
-  k.victims = &pool.victim_table();
-  k.topo_order = config.topo_aware_steal;
-  return k;
-}
-
-}  // namespace
-
 MultiQueryEngine::MultiQueryEngine(graph::DataGraph& g, Config config)
     : g_(g),
       config_(config),
-      pool_(config.effective_threads(), mq_pool_options(config)),
-      inner_(pool_, config.split_depth, config.dynamic_balance,
-             mq_queue_knobs(config, pool_)) {}
+      runtime_(config) {}
 
 std::size_t MultiQueryEngine::acquire_group(const graph::QueryGraph& q,
                                             const bool ignore_edge_labels) {
@@ -407,7 +383,8 @@ MultiQueryEngine::SearchOutcome MultiQueryEngine::search_class(
   std::uint64_t matches;
   bool timed;
   if (config_.inner_parallelism) {
-    InnerRunResult run = inner_.run(*cls.algorithm, std::move(seeds), class_deadline);
+    InnerRunResult run =
+        runtime_.inner.run(*cls.algorithm, std::move(seeds), class_deadline);
     result.stats.merge(run.stats);
     matches = run.matches;
     timed = run.timed_out;
@@ -548,7 +525,7 @@ MultiStreamResult MultiQueryEngine::process_stream(
   result.positive.assign(slots_.size(), 0);
   result.negative.assign(slots_.size(), 0);
   result.degraded.assign(slots_.size(), 0);
-  const unsigned nthreads = pool_.size();
+  const unsigned nthreads = runtime_.pool.size();
   result.stats.ensure_size(nthreads);
   ensure_scratch(nthreads);
 
@@ -566,7 +543,7 @@ MultiStreamResult MultiQueryEngine::process_stream(
     if (safe_.size() < count) safe_.resize(count);
     std::fill(safe_.begin(), safe_.begin() + static_cast<std::ptrdiff_t>(count), 0);
     if (nthreads > 1 && count > 1) {
-      pool_.run([&](unsigned wid) {
+      runtime_.pool.run([&](unsigned wid) {
         util::ThreadCpuTimer timer;
         ClassifyScratch& s = scratch_[wid];
         for (std::size_t j = wid; j < count; j += nthreads)
@@ -576,7 +553,7 @@ MultiStreamResult MultiQueryEngine::process_stream(
                          : 0;
         result.stats.workers[wid].busy_ns += timer.elapsed_ns();
       });
-      result.stats.dispatch_ns += pool_.last_dispatch_ns();
+      result.stats.dispatch_ns += runtime_.pool.last_dispatch_ns();
     } else {
       util::ThreadCpuTimer timer;
       ClassifyScratch& s = scratch_.front();
@@ -609,8 +586,8 @@ MultiStreamResult MultiQueryEngine::process_stream(
     }
     if (prefix > 0) {
       if (nthreads > 1 && prefix > 1) {
-        ShardedCursor cursor(prefix, nthreads, pool_.node_map());
-        pool_.run([&](unsigned wid) {
+        ShardedCursor cursor(prefix, nthreads, runtime_.pool.node_map());
+        runtime_.pool.run([&](unsigned wid) {
           util::ThreadCpuTimer timer;
           std::uint64_t applied = 0;
           for (std::size_t j = cursor.claim(wid); j != ShardedCursor::npos;
@@ -625,7 +602,7 @@ MultiStreamResult MultiQueryEngine::process_stream(
           ws.busy_ns += timer.elapsed_ns();
           ws.shard_updates += applied;
         });
-        result.stats.dispatch_ns += pool_.last_dispatch_ns();
+        result.stats.dispatch_ns += runtime_.pool.last_dispatch_ns();
       } else {
         util::ThreadCpuTimer timer;
         for (std::size_t j = 0; j < prefix; ++j) apply_safe(stream[i + j]);

@@ -203,8 +203,7 @@ class MultiQueryEngine {
 
   graph::DataGraph& g_;
   Config config_;
-  WorkerPool pool_;
-  InnerExecutor inner_;
+  InnerRuntime runtime_;
   util::StripedLocks<64> locks_;
 
   std::vector<Slot> slots_;

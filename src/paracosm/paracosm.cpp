@@ -12,27 +12,6 @@ using graph::GraphUpdate;
 using graph::UpdateOp;
 using graph::VertexId;
 
-namespace {
-
-[[nodiscard]] PoolOptions pool_options(const Config& config) {
-  PoolOptions o;
-  o.spin_iters = config.pool_spin_iters;
-  o.pin = config.pin_threads;
-  return o;
-}
-
-// The pool member precedes the executors, so its victim table is valid in
-// their initializers and outlives both queues.
-[[nodiscard]] QueueKnobs queue_knobs(const Config& config, const WorkerPool& pool) {
-  QueueKnobs k;
-  k.spin_iters = config.queue_spin_iters;
-  k.victims = &pool.victim_table();
-  k.topo_order = config.topo_aware_steal;
-  return k;
-}
-
-}  // namespace
-
 ParaCosm::ParaCosm(csm::CsmAlgorithm& alg, const graph::QueryGraph& q,
                    graph::DataGraph& g, Config config)
     : alg_(alg),
@@ -40,15 +19,12 @@ ParaCosm::ParaCosm(csm::CsmAlgorithm& alg, const graph::QueryGraph& q,
       g_(g),
       config_(config),
       tuning_(config.split_depth, config.batch_size, config.wide_auto_cutoff),
-      pool_(config.effective_threads(), pool_options(config)),
-      inner_(pool_, config.split_depth, config.dynamic_balance,
-             queue_knobs(config, pool_)),
-      stealing_(pool_, config.split_depth, queue_knobs(config, pool_)),
+      runtime_(config),
       classifier_(q, g, alg) {
   alg_.attach(q_, g_);
   // Both batch backends are constructed up front (the wide bind is a few
   // dozen broadcast operands); Config::batch_backend only routes batches.
-  const BackendBind bind{&q_, &g_, &alg_, &classifier_, &pool_, &locks_};
+  const BackendBind bind{&q_, &g_, &alg_, &classifier_, &runtime_.pool, &locks_};
   backend_cpu_ = make_batch_backend(BatchBackendKind::kCpu, bind);
   backend_wide_ =
       make_batch_backend(BatchBackendKind::kWide, bind, config_.wide_dispatch);
@@ -66,7 +42,7 @@ BatchBackend& ParaCosm::backend_for(std::size_t batch_lanes) noexcept {
     case BatchBackendKind::kWide: return *backend_wide_;
     case BatchBackendKind::kAuto: break;
   }
-  if (pool_.size() <= 1) return *backend_wide_;
+  if (runtime_.pool.size() <= 1) return *backend_wide_;
   return batch_lanes <= tuning_.wide_auto_cutoff() ? *backend_wide_
                                                    : *backend_cpu_;
 }
@@ -129,20 +105,17 @@ csm::UpdateOutcome ParaCosm::process_edge(const GraphUpdate& upd,
   csm::UpdateOutcome out;
   const bool insert = upd.op == UpdateOp::kInsertEdge;
 
-  // Forward the epoch-published SPLIT_DEPTH before the search starts; both
-  // executors read it only between run() calls (single-threaded caller).
+  // Forward the epoch-published SPLIT_DEPTH before the search starts; the
+  // executor reads it only between run() calls (single-threaded caller).
   const std::uint32_t sd = tuning_.split_depth();
-  inner_.set_split_depth(sd);
-  stealing_.set_split_depth(sd);
+  runtime_.inner.set_split_depth(sd);
 
   const auto explore = [&](const std::vector<csm::SearchTask>& roots)
       -> std::pair<std::uint64_t, std::uint64_t> {
     if (roots.empty()) return {0, 0};
     if (config_.inner_parallelism) {
       const auto* cb = on_match_ ? &on_match_ : nullptr;
-      InnerRunResult run = config_.scheduler == Scheduler::kWorkStealing
-                               ? stealing_.run(alg_, roots, deadline, cb, cancel)
-                               : inner_.run(alg_, roots, deadline, cb, cancel);
+      InnerRunResult run = runtime_.inner.run(alg_, roots, deadline, cb, cancel);
       stats.merge(run.stats);
       out.timed_out = out.timed_out || run.timed_out;
       out.cancelled = out.cancelled || run.cancelled;
@@ -246,7 +219,7 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
   backend_cpu_->reset_stats();
   backend_wide_->reset_stats();
 
-  const unsigned nthreads = pool_.size();
+  const unsigned nthreads = runtime_.pool.size();
   std::size_t i = 0;
   std::vector<UpdateClass> verdicts;
   result.stats.ensure_size(nthreads);

@@ -23,7 +23,6 @@
 #include "paracosm/config.hpp"
 #include "paracosm/inner_executor.hpp"
 #include "paracosm/invariant_stage.hpp"
-#include "paracosm/steal_executor.hpp"
 #include "paracosm/worker_pool.hpp"
 #include "util/sync.hpp"
 
@@ -148,9 +147,7 @@ class ParaCosm {
   graph::DataGraph& g_;
   Config config_;
   control::TuningView tuning_;
-  WorkerPool pool_;
-  InnerExecutor inner_;
-  StealingExecutor stealing_;
+  InnerRuntime runtime_;
   UpdateClassifier classifier_;
   util::StripedLocks<64> locks_;
   std::unique_ptr<BatchBackend> backend_cpu_;

@@ -17,23 +17,23 @@
 // it idle quickly), and finally parks on a condvar; pushes use a seq_cst
 // Dekker handshake with the parked count so no wakeup is lost (DESIGN.md §5).
 //
+// Victim order: the queue sweeps a distance-sorted victim table
+// (util::make_victim_table, usually WorkerPool::victim_table()) — SMT
+// sibling, then same node, then the remote tier on a cadence (DESIGN.md
+// §10). A flat machine is a table with an empty remote tier.
+//
 // Thread roles:
 //   * quiescent phase (seeding / BFS initialization, single thread): `seed`
 //     and `try_pop` may be called from any one thread while no worker is
 //     inside `pop_or_finish` — the pool dispatch provides the ordering.
 //   * parallel phase: `push(wid, ...)` is owner-only, `pop_or_finish(wid)`
 //     per worker, `retire()` from the worker that finished the task.
-//
-// MutexTaskQueue below is the PR-1-era global mutex queue, retained verbatim
-// as the comparison baseline for bench/micro_scheduler.cpp and
-// bench/ablation_scheduler.cpp. Production code must not use it.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -49,61 +49,43 @@
 
 namespace paracosm::engine {
 
-/// Tuning knobs for the idle protocol (config.hpp wires them from Config).
-struct QueueKnobs {
-  /// Spin iterations (with periodic yields) in the find-work loop before a
-  /// worker parks on the condvar. Small by design: parked workers are cheap
-  /// and the split predicate treats spinning and parked workers alike.
-  std::uint32_t spin_iters = 256;
+// --- topology-aware stealing constants (DESIGN.md §10) ---------------------
 
-  // --- topology-aware stealing (DESIGN.md §10) -----------------------------
-  // New fields are appended so existing QueueKnobs{spin} initializers keep
-  // their meaning.
+/// Remote probing is a *cadence*, not a default: an idle worker includes the
+/// remote tier only every kRemoteProbePeriod-th sweep, probing its own
+/// node's victims on every other one. This is what biases the race for a
+/// freshly split task toward same-node thieves — sweep order alone cannot,
+/// because the inter-sweep spin dominates the sweep itself, so whichever
+/// idler's sweep fires first wins regardless of tier order. Fruitless remote
+/// passes stretch the cadence exponentially up to kRemoteBackoffMax sweeps;
+/// a successful remote steal snaps it back to the base period.
+inline constexpr std::uint32_t kRemoteProbePeriod = 64;
+inline constexpr std::uint32_t kRemoteBackoffMax = 512;
 
-  /// Remote probing is a *cadence*, not a default: an idle worker includes
-  /// the remote tier only every `remote_probe_period`-th sweep, probing its
-  /// own node's victims on every other one. This is what biases the race
-  /// for a freshly split task toward same-node thieves — sweep order alone
-  /// cannot, because the inter-sweep spin dominates the sweep itself, so
-  /// whichever idler's sweep fires first wins regardless of tier order.
-  /// Fruitless remote passes stretch the cadence exponentially up to
-  /// `remote_backoff_max` sweeps; a successful remote steal snaps it back
-  /// to the base period. 0/1 = probe remote every sweep.
-  std::uint32_t remote_probe_period = 64;
-  std::uint32_t remote_backoff_max = 512;
-
-  /// Distance-sorted victim lists (usually WorkerPool::victim_table()).
-  /// Must outlive the queue and cover >= `workers` entries. nullptr -> the
-  /// flat randomized sweep of PR 2 (per-distance counters then rely on the
-  /// table and stay zero/same-node-only accordingly).
-  const util::VictimTable* victims = nullptr;
-
-  /// false -> keep the flat randomized sweep even when `victims` is set
-  /// (counters still tally per-distance via its matrix) — the ablation's
-  /// baseline arm.
-  bool topo_order = true;
-
-  /// A remote steal migrates up to this many tasks: one to run immediately,
-  /// the rest into the thief's own deque. Near-first sweeping alone starves
-  /// the far node — its workers find nothing same-node, pay a cross-node
-  /// steal for a *single* task, consume it, and are starved again, so every
-  /// steal they make is remote. Migrating a small batch seeds same-node
-  /// stealing on the thief's side of the interconnect, which is what
-  /// actually cuts the remote-steal share (the ablation measures this).
-  /// 1 = single-task remote steals; only applies to the topo-ordered sweep.
-  std::uint32_t remote_batch = 4;
-};
+/// A remote steal migrates up to this many tasks: one to run immediately,
+/// the rest into the thief's own deque. Near-first sweeping alone starves
+/// the far node — its workers find nothing same-node, pay a cross-node steal
+/// for a *single* task, consume it, and are starved again, so every steal
+/// they make is remote. Migrating a small batch seeds same-node stealing on
+/// the thief's side of the interconnect, which is what actually cuts the
+/// remote-steal share.
+inline constexpr std::uint32_t kRemoteBatch = 4;
 
 class TaskQueue {
  public:
-  explicit TaskQueue(unsigned workers, QueueKnobs knobs = {})
-      : knobs_(knobs), n_(workers == 0 ? 1u : workers), w_(new PerWorker[n_]) {
+  /// One worker per `victims` entry. The table (usually WorkerPool::
+  /// victim_table()) must cover >= 1 worker and outlive the queue.
+  /// `spin_iters`: find-work spin iterations (with periodic yields) before a
+  /// worker parks on its condvar. Small by design: parked workers are cheap
+  /// and the split predicate treats spinning and parked workers alike.
+  explicit TaskQueue(const util::VictimTable& victims, std::uint32_t spin_iters = 256)
+      : victims_(victims), spin_iters_(spin_iters), n_(victims.n), w_(new PerWorker[n_]) {
     for (unsigned i = 0; i < n_; ++i) {
       w_[i].rng.reseed(0xc1de9e5ULL * (i + 1));
-      // Queues are short-lived (one per update burst); most steals are the
-      // initial fan-out races. Arm the remote cadence from sweep zero or
-      // those races run tier-blind and the bias never materializes.
-      w_[i].remote_skip = base_period();
+      // Most steals are the fan-out races at the start of each update. Arm
+      // the remote cadence from sweep zero or those races run tier-blind and
+      // the bias never materializes.
+      w_[i].remote_skip = kBasePeriod;
     }
   }
 
@@ -167,8 +149,7 @@ class TaskQueue {
     idle_.fetch_add(1, std::memory_order_relaxed);
     util::SpinBackoff backoff;
     for (;;) {
-      // One full victim sweep per attempt (topology-ordered when a victim
-      // table is wired in, the PR-2 randomized ring otherwise).
+      // One full topology-ordered victim sweep per attempt.
       if (csm::SearchTask* node = sweep_victims(wid, me)) {
         pending_.fetch_sub(1, std::memory_order_relaxed);
         idle_.fetch_sub(1, std::memory_order_relaxed);
@@ -184,7 +165,7 @@ class TaskQueue {
         idle_.fetch_sub(1, std::memory_order_relaxed);
         return std::nullopt;
       }
-      if (backoff.spins() < knobs_.spin_iters) {
+      if (backoff.spins() < spin_iters_) {
         backoff.pause();
       } else {
         park(me);
@@ -258,31 +239,14 @@ class TaskQueue {
     }
   };
 
-  /// One full victim sweep for `wid`. With a victim table and topo_order,
-  /// probe near victims (SMT sibling, then same node — the table is
-  /// distance-sorted) before remote ones, rotating randomly *within* each
-  /// tier so concurrent thieves spread over victims; the remote tier is
-  /// skipped for an exponentially growing number of sweeps after fruitless
-  /// remote probes (reset by any success). Without a table (or with
-  /// topo_order off — the ablation baseline) this is the PR-2 randomized
-  /// ring; the table, when present, still prices each steal's distance.
+  /// One full victim sweep for `wid`: probe near victims (SMT sibling, then
+  /// same node — the table is distance-sorted) before remote ones, rotating
+  /// randomly *within* each tier so concurrent thieves spread over victims;
+  /// the remote tier is skipped for an exponentially growing number of
+  /// sweeps after fruitless remote probes (reset by any success).
   [[nodiscard]] csm::SearchTask* sweep_victims(unsigned wid, PerWorker& me) {
-    const util::VictimTable* vt =
-        (knobs_.victims != nullptr && knobs_.victims->n == n_) ? knobs_.victims
-                                                               : nullptr;
-    if (vt == nullptr || !knobs_.topo_order || n_ < 2) {
-      const unsigned start = static_cast<unsigned>(me.rng.bounded(n_));
-      for (unsigned k = 0; k < n_; ++k) {
-        const unsigned v = (start + k) % n_;
-        if (v == wid) continue;
-        ++me.steals_attempted;
-        if (csm::SearchTask* node = w_[v].deque.steal_top())
-          return record_steal(me, vt, wid, v, node);
-      }
-      return nullptr;
-    }
-    const std::span<const util::Victim> row = vt->of(wid);
-    const unsigned near_len = vt->remote_begin[wid];
+    const std::span<const util::Victim> row = victims_.of(wid);
+    const unsigned near_len = victims_.remote_begin[wid];
     const unsigned remote_len = static_cast<unsigned>(row.size()) - near_len;
     if (near_len > 0) {
       const unsigned start = static_cast<unsigned>(me.rng.bounded(near_len));
@@ -290,7 +254,7 @@ class TaskQueue {
         const util::Victim& vic = row[(start + k) % near_len];
         ++me.steals_attempted;
         if (csm::SearchTask* node = w_[vic.wid].deque.steal_top())
-          return record_steal(me, vt, wid, vic.wid, node);
+          return record_steal(me, wid, vic.wid, node);
       }
     }
     if (remote_len > 0) {
@@ -310,44 +274,39 @@ class TaskQueue {
           const util::Victim& vic = row[near_len + (start + k) % remote_len];
           ++me.steals_attempted;
           if (csm::SearchTask* node = w_[vic.wid].deque.steal_top()) {
-            // Batch the migration (see QueueKnobs::remote_batch): extras go
-            // to our own deque — they stay pending and in flight, only their
-            // home changes, so no counter or wakeup bookkeeping moves.
-            for (std::uint32_t extra = 1; extra < knobs_.remote_batch; ++extra) {
+            // Batch the migration (see kRemoteBatch): extras go to our own
+            // deque — they stay pending and in flight, only their home
+            // changes, so no counter or wakeup bookkeeping moves.
+            for (std::uint32_t extra = 1; extra < kRemoteBatch; ++extra) {
               csm::SearchTask* more = w_[vic.wid].deque.steal_top();
               if (more == nullptr) break;
               me.deque.push_bottom(more);
             }
             me.remote_backoff = 0;
-            me.remote_skip = base_period();
-            return record_steal(me, vt, wid, vic.wid, node);
+            me.remote_skip = kBasePeriod;
+            return record_steal(me, wid, vic.wid, node);
           }
         }
         me.remote_backoff =
-            std::min(me.remote_backoff == 0 ? base_period() : me.remote_backoff * 2u,
-                     knobs_.remote_backoff_max);
+            std::min(me.remote_backoff == 0 ? kBasePeriod : me.remote_backoff * 2u,
+                     kRemoteBackoffMax);
         me.remote_skip = me.remote_backoff;
       }
     }
     return nullptr;
   }
 
-  /// Base remote cadence: sweeps between remote-tier passes (>= 0).
-  [[nodiscard]] std::uint32_t base_period() const noexcept {
-    return knobs_.remote_probe_period > 0 ? knobs_.remote_probe_period - 1 : 0;
-  }
+  /// Base remote cadence: sweeps skipped between remote-tier passes.
+  static constexpr std::uint32_t kBasePeriod = kRemoteProbePeriod - 1;
 
   /// Successful steal: count it and price its distance. Remote cadence
   /// state is managed by the sweep itself (a near success deliberately does
   /// NOT re-enable eager remote probing — a worker that can feed itself
   /// same-node has no reason to hammer the interconnect).
-  csm::SearchTask* record_steal(PerWorker& me, const util::VictimTable* vt,
-                                unsigned wid, unsigned victim,
+  csm::SearchTask* record_steal(PerWorker& me, unsigned wid, unsigned victim,
                                 csm::SearchTask* node) {
     ++me.steals_succeeded;
-    // No topology info -> same-node by definition (a flat machine).
-    const auto d = vt != nullptr ? vt->distance(wid, victim)
-                                 : util::StealDistance::kSameNode;
+    const util::StealDistance d = victims_.distance(wid, victim);
     switch (d) {
       case util::StealDistance::kLocal: ++me.steals_local; break;
       case util::StealDistance::kSameNode: ++me.steals_same_node; break;
@@ -380,34 +339,18 @@ class TaskQueue {
     parked_.fetch_sub(1, std::memory_order_relaxed);
   }
 
-  /// Wake one parked worker, nearest the pusher first. The shared condvar
-  /// this replaces woke an *arbitrary* parked worker — and at burst tails,
-  /// when the woken thief is the only one hunting, the steal-distance mix
-  /// degenerated to the worker-population mix no matter how the sweep was
-  /// tiered. Scanning the pusher's distance-sorted victim row hands the
-  /// fresh split to an SMT sibling or same-node worker whenever one is
-  /// parked; without a table the randomized ring keeps the flat behavior.
-  /// Dekker handshake: push publishes pending_ (seq_cst) then reads the
-  /// parked flags here; park() sets its flag then reads pending_ in the
-  /// wait predicate — one side always observes the other, and the scan
-  /// covers every other worker, so a needed wake is never skipped.
+  /// Wake one parked worker, nearest the pusher first: scanning the pusher's
+  /// distance-sorted victim row hands a fresh split to an SMT sibling or
+  /// same-node worker whenever one is parked (waking an arbitrary one made
+  /// the steal-distance mix at burst tails follow the worker population, no
+  /// matter how the sweep was tiered). Dekker handshake: push publishes
+  /// pending_ (seq_cst) then reads the parked flags here; park() sets its
+  /// flag then reads pending_ in the wait predicate — one side always
+  /// observes the other, and the row covers every other worker, so a needed
+  /// wake is never skipped.
   void wake_one(unsigned wid) {
-    const util::VictimTable* vt =
-        (knobs_.victims != nullptr && knobs_.victims->n == n_ &&
-         knobs_.topo_order && n_ > 1)
-            ? knobs_.victims
-            : nullptr;
-    if (vt != nullptr) {
-      for (const util::Victim& vic : vt->of(wid))
-        if (try_wake(w_[vic.wid])) return;
-      return;
-    }
-    const unsigned start = static_cast<unsigned>(w_[wid].rng.bounded(n_));
-    for (unsigned k = 0; k < n_; ++k) {
-      const unsigned v = (start + k) % n_;
-      if (v == wid) continue;
-      if (try_wake(w_[v])) return;
-    }
+    for (const util::Victim& vic : victims_.of(wid))
+      if (try_wake(w_[vic.wid])) return;
   }
 
   bool try_wake(PerWorker& cand) {
@@ -431,7 +374,8 @@ class TaskQueue {
       while (csm::SearchTask* node = w_[i].deque.steal_top()) delete node;
   }
 
-  QueueKnobs knobs_;
+  const util::VictimTable& victims_;
+  std::uint32_t spin_iters_;
   unsigned n_;
   std::unique_ptr<PerWorker[]> w_;
   unsigned seed_rr_ = 0;
@@ -440,71 +384,6 @@ class TaskQueue {
   alignas(64) std::atomic<std::int64_t> in_flight_{0};  ///< queued + executing
   alignas(64) std::atomic<std::uint32_t> idle_{0};      ///< hunting or parked
   alignas(64) std::atomic<std::uint32_t> parked_{0};    ///< parked subset
-};
-
-/// The pre-rewrite global mutex queue, kept ONLY as the before/after baseline
-/// for the scheduler benches. Same contract as TaskQueue's blocking API.
-class MutexTaskQueue {
- public:
-  void push(csm::SearchTask&& task) {
-    in_flight_.fetch_add(1, std::memory_order_relaxed);
-    {
-      const std::lock_guard lock(mutex_);
-      queue_.push_back(std::move(task));
-      size_.fetch_add(1, std::memory_order_relaxed);
-    }
-    cv_.notify_one();
-  }
-
-  [[nodiscard]] std::optional<csm::SearchTask> pop_or_finish() {
-    std::unique_lock lock(mutex_);
-    while (queue_.empty()) {
-      if (in_flight_.load(std::memory_order_relaxed) == 0) return std::nullopt;
-      idle_.fetch_add(1, std::memory_order_relaxed);
-      cv_.wait(lock, [this] {
-        return !queue_.empty() || in_flight_.load(std::memory_order_relaxed) == 0;
-      });
-      idle_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    csm::SearchTask task = std::move(queue_.front());
-    queue_.pop_front();
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    return task;
-  }
-
-  [[nodiscard]] std::optional<csm::SearchTask> try_pop() {
-    const std::lock_guard lock(mutex_);
-    if (queue_.empty()) return std::nullopt;
-    csm::SearchTask task = std::move(queue_.front());
-    queue_.pop_front();
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    return task;
-  }
-
-  void retire() {
-    if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      const std::lock_guard lock(mutex_);
-      cv_.notify_all();
-    }
-  }
-
-  [[nodiscard]] std::uint32_t approx_size() const noexcept {
-    return size_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool has_idle_workers() const noexcept {
-    return idle_.load(std::memory_order_relaxed) > 0;
-  }
-  [[nodiscard]] std::int64_t in_flight() const noexcept {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<csm::SearchTask> queue_;
-  std::atomic<std::uint32_t> size_{0};
-  std::atomic<std::uint32_t> idle_{0};
-  std::atomic<std::int64_t> in_flight_{0};
 };
 
 }  // namespace paracosm::engine

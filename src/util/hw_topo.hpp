@@ -17,11 +17,13 @@
 //     the next, wrap modulo when oversubscribed.
 //   * VictimTable — per-worker victim lists ordered by steal distance
 //     (SMT sibling / same core → same node → remote) plus a dense distance
-//     matrix so even a flat random sweep can account its steals per distance.
+//     matrix that prices each steal. A flat machine's table has an empty
+//     remote tier.
 //
 // Emulation: PARACOSM_TOPOLOGY="NxC" or "NxCxS" (nodes × cpus-per-node ×
-// smt-ways) overrides detection, which is how the topology ablation and the
-// scheduler torture tests exercise 2-node victim ordering on any machine.
+// smt-ways) overrides detection; tests build emulated shapes directly
+// (HwTopology::emulated), which is how the scheduler torture tests exercise
+// 2-node victim ordering on any machine.
 // Emulated topologies are never pinned (their CPU ids may not exist).
 #pragma once
 

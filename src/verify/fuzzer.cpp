@@ -170,10 +170,18 @@ std::string_view lane_name(Lane lane) noexcept {
   return "?";
 }
 
-std::vector<LaneConfig> default_lane_matrix() {
+std::vector<LaneConfig> default_lane_matrix(const std::vector<unsigned>& threads) {
   std::vector<LaneConfig> lanes{{Lane::kSequential, 1}};
-  for (const unsigned t : {1u, 2u, 4u, 8u}) lanes.push_back({Lane::kInner, t});
-  for (const unsigned t : {1u, 2u, 4u, 8u}) lanes.push_back({Lane::kBatch, t});
+  for (const unsigned t : threads) lanes.push_back({Lane::kInner, t});
+  for (const unsigned t : threads) lanes.push_back({Lane::kBatch, t});
+  // The stealing policy runs the central queue's worker loop with another
+  // split rule; two thread counts cover it: the smallest with a thief and
+  // the most oversubscribed.
+  for (const unsigned t : threads)
+    if (t == 2 || t == 8)
+      lanes.push_back({.lane = Lane::kInner,
+                       .threads = t,
+                       .scheduler = engine::Scheduler::kWorkStealing});
   return lanes;
 }
 
@@ -199,6 +207,8 @@ std::string Divergence::to_string() const {
   if (lane == Lane::kBatch && backend != engine::BatchBackendKind::kCpu)
     os << " backend=" << engine::batch_backend_name(backend);
   if (adaptive) os << " adaptive";
+  if (scheduler != engine::Scheduler::kCentralQueue)
+    os << " scheduler=" << engine::scheduler_name(scheduler);
   os << " query=" << query_index;
   if (update_index) os << " update=" << *update_index;
   os << ": " << message;
@@ -288,6 +298,7 @@ engine::Config lane_engine_config(const LaneConfig& lane) {
   // always names the backend that produced it; adaptive cells deliberately
   // run kAuto with the controller moving the cutoff under the router.
   cfg.batch_backend = lane.backend;
+  cfg.scheduler = lane.scheduler;
   if (lane.adaptive) cfg.invariant_stage = true;
   // The verification matrix oversubscribes a single machine with up to 8
   // worker threads; park immediately instead of spinning for throughput.
@@ -360,6 +371,7 @@ std::optional<Divergence> check_cell(const FuzzCase& c, std::string_view algorit
   div.threads = lane.threads;
   div.backend = lane.backend;
   div.adaptive = lane.adaptive;
+  div.scheduler = lane.scheduler;
   div.query_index = query_index;
 
   DeltaReconciler rec;

@@ -97,11 +97,15 @@ struct LaneConfig {
   /// static siblings — the correctness-invariance contract of DESIGN.md
   /// §13: tuning changes when/how work happens, never what is computed.
   bool adaptive = false;
+  /// Inner-update scheduler (kInner and kBatch lanes; DESIGN.md §4).
+  engine::Scheduler scheduler = engine::Scheduler::kCentralQueue;
 };
 
-/// The default verification matrix of the issue: sequential plus the two
-/// parallel executors at 1/2/4/8 threads.
-[[nodiscard]] std::vector<LaneConfig> default_lane_matrix();
+/// The default verification matrix: sequential, plus the two parallel
+/// executors at each of `threads`, plus a work-stealing twin of the inner
+/// cells at 2 and 8 threads (when requested).
+[[nodiscard]] std::vector<LaneConfig> default_lane_matrix(
+    const std::vector<unsigned>& threads = {1, 2, 4, 8});
 
 /// The default matrix with every batch cell doubled: once on the cpu
 /// backend, once on the wide (AVX2/SWAR) backend. Both cells reconcile
@@ -124,6 +128,7 @@ struct Divergence {
   unsigned threads = 1;
   engine::BatchBackendKind backend = engine::BatchBackendKind::kCpu;
   bool adaptive = false;
+  engine::Scheduler scheduler = engine::Scheduler::kCentralQueue;
   std::uint32_t query_index = 0;
   /// Update at which the divergence was detected (per-update lanes only;
   /// the batch lane reconciles whole-stream totals).
@@ -131,6 +136,10 @@ struct Divergence {
   std::string message;
 
   [[nodiscard]] std::string to_string() const;
+  /// The cell that diverged, for re-running it.
+  [[nodiscard]] LaneConfig lane_config() const {
+    return {lane, threads, backend, adaptive, scheduler};
+  }
 };
 
 /// Algorithm construction hook. The default forwards to csm::make_algorithm;

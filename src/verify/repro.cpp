@@ -31,6 +31,8 @@ void save_repro(const Repro& r, std::ostream& out) {
     if (r.cell->backend != engine::BatchBackendKind::kCpu)
       out << "meta backend " << engine::batch_backend_name(r.cell->backend) << '\n';
     if (r.cell->adaptive) out << "meta adaptive 1\n";
+    if (r.cell->scheduler != engine::Scheduler::kCentralQueue)
+      out << "meta scheduler " << engine::scheduler_name(r.cell->scheduler) << '\n';
     out << "meta query " << r.cell->query_index << '\n';
     if (r.cell->update_index) out << "meta update " << *r.cell->update_index << '\n';
     if (!r.cell->message.empty()) {
@@ -101,6 +103,13 @@ Repro load_repro(std::istream& in) {
       int flag = 0;
       ls >> flag;
       cell.adaptive = flag != 0;
+    } else if (key == "scheduler") {
+      std::string name;
+      ls >> name;
+      const auto scheduler = engine::parse_scheduler(name);
+      if (!scheduler)
+        throw std::runtime_error("repro: unknown scheduler '" + name + "'");
+      cell.scheduler = *scheduler;
     } else if (key == "query") {
       ls >> cell.query_index;
     } else if (key == "update") {
@@ -167,8 +176,7 @@ std::vector<Divergence> check_repro(const Repro& r, const AlgorithmFactory& fact
   if (r.cell) {
     opts.algorithms = {};
     opts.algorithms.push_back(r.cell->algorithm);
-    opts.lanes = {
-        {r.cell->lane, r.cell->threads, r.cell->backend, r.cell->adaptive}};
+    opts.lanes = {r.cell->lane_config()};
   }
   return check_case(r.fuzz_case, opts);
 }

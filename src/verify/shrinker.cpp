@@ -69,7 +69,7 @@ class Shrinker {
     cell_.algorithms = {};
     cell_names_.push_back(d.algorithm);
     for (const std::string& n : cell_names_) cell_.algorithms.push_back(n);
-    cell_.lanes = {{d.lane, d.threads, d.backend, d.adaptive}};
+    cell_.lanes = {d.lane_config()};
     cell_.factory = opts.factory;
     cell_.check_mappings = opts.check_mappings;
     cell_.stop_at_first = true;

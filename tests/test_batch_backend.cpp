@@ -122,8 +122,12 @@ TEST_P(BackendEquivalence, DeltaMIdenticalAcrossBackendsAndThreads) {
           << algorithm << " backend=" << batch_backend_name(kind)
           << " threads=" << threads;
       expect_conserved(got.result);
-      if (kind == BatchBackendKind::kCpu) EXPECT_EQ(got.result.backend_wide.batches, 0u);
-      if (kind == BatchBackendKind::kWide) EXPECT_EQ(got.result.backend_cpu.batches, 0u);
+      if (kind == BatchBackendKind::kCpu) {
+        EXPECT_EQ(got.result.backend_wide.batches, 0u);
+      }
+      if (kind == BatchBackendKind::kWide) {
+        EXPECT_EQ(got.result.backend_cpu.batches, 0u);
+      }
     }
   }
 }
@@ -316,8 +320,9 @@ TEST(WideKernels, PairCountKernelsAgree) {
     std::uint64_t want = 0;
     for (std::size_t i = 0; i < logical; ++i) want += (a[i] & b[i]) != 0 ? 1 : 0;
     EXPECT_EQ(util::wide::count_pairs_swar(a.data(), b.data(), padded), want);
-    if (util::wide::avx2_compiled() && util::wide::avx2_runtime())
+    if (util::wide::avx2_compiled() && util::wide::avx2_runtime()) {
       EXPECT_EQ(util::wide::count_pairs_avx2(a.data(), b.data(), padded), want);
+    }
   }
 }
 

@@ -4,12 +4,13 @@
 
 #include <array>
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "paracosm/cl_deque.hpp"
 #include "paracosm/inner_executor.hpp"
-#include "paracosm/steal_executor.hpp"
 #include "paracosm/task_queue.hpp"
 #include "paracosm/worker_pool.hpp"
 #include "tests/test_support.hpp"
@@ -22,6 +23,14 @@ csm::SearchTask make_task(std::uint32_t depth) {
   for (std::uint32_t i = 0; i < depth; ++i) t.assigned.push_back({i, i});
   return t;
 }
+
+/// Victim table of an n-worker single-node machine (empty remote tier).
+util::VictimTable flat_victims(unsigned n) {
+  return util::make_victim_table(util::assign_workers(util::HwTopology::flat(n), n));
+}
+
+constexpr std::array<Scheduler, 3> kSchedulers = {
+    Scheduler::kCentralQueue, Scheduler::kWorkStealing, Scheduler::kStatic};
 
 TEST(ChaseLevDeque, OwnerPopsLifoThiefStealsFifo) {
   std::array<int, 3> vals = {10, 20, 30};
@@ -89,7 +98,8 @@ TEST(ChaseLevDeque, ConcurrentStealsClaimEveryElementExactlyOnce) {
 }
 
 TEST(TaskQueue, SeedTryPopRetireSingleThread) {
-  TaskQueue queue(1);
+  const util::VictimTable victims = flat_victims(1);
+  TaskQueue queue(victims);
   queue.seed(make_task(2));
   queue.seed(make_task(3));
   EXPECT_EQ(queue.approx_size(), 2u);
@@ -107,13 +117,15 @@ TEST(TaskQueue, SeedTryPopRetireSingleThread) {
 }
 
 TEST(TaskQueue, TryPopOnEmptyReturnsNullopt) {
-  TaskQueue queue(4);
+  const util::VictimTable victims = flat_victims(4);
+  TaskQueue queue(victims);
   EXPECT_FALSE(queue.try_pop().has_value());
   EXPECT_FALSE(queue.pop_or_finish(2).has_value());
 }
 
 TEST(TaskQueue, OwnerPushIsLifoForOwnerFifoForTryPop) {
-  TaskQueue queue(2);
+  const util::VictimTable victims = flat_victims(2);
+  TaskQueue queue(victims);
   queue.push(0, make_task(1));
   queue.push(0, make_task(2));
   queue.push(0, make_task(3));
@@ -133,7 +145,8 @@ TEST(TaskQueue, OwnerPushIsLifoForOwnerFifoForTryPop) {
 
 TEST(TaskQueue, MpmcStressCompletesAllTasks) {
   constexpr unsigned kWorkers = 4;
-  TaskQueue queue(kWorkers, QueueKnobs{.spin_iters = 16});
+  const util::VictimTable victims = flat_victims(kWorkers);
+  TaskQueue queue(victims, 16);
   constexpr int kSeeds = 64;
   constexpr int kChildrenPerSeed = 16;
   for (int i = 0; i < kSeeds; ++i) queue.seed(make_task(1));
@@ -155,50 +168,13 @@ TEST(TaskQueue, MpmcStressCompletesAllTasks) {
   EXPECT_EQ(queue.in_flight(), 0);
   EXPECT_EQ(queue.approx_size(), 0u);
 
-  // Scheduler counters drained into WorkerStats.
+  // Scheduler counters drained into WorkerStats; on a flat machine every
+  // steal is priced same-node or local.
   WorkerStats ws;
   for (unsigned w = 0; w < kWorkers; ++w) queue.export_counters(w, ws);
   EXPECT_GE(ws.steals_attempted, ws.steals_succeeded);
-}
-
-TEST(MutexTaskQueue, BaselineKeepsOldContract) {
-  MutexTaskQueue queue;
-  queue.push(make_task(2));
-  queue.push(make_task(3));
-  EXPECT_EQ(queue.approx_size(), 2u);
-  EXPECT_EQ(queue.in_flight(), 2);
-  auto t1 = queue.try_pop();
-  ASSERT_TRUE(t1.has_value());
-  EXPECT_EQ(t1->depth(), 2u);  // FIFO
-  queue.retire();
-  auto t2 = queue.pop_or_finish();
-  ASSERT_TRUE(t2.has_value());
-  queue.retire();
-  EXPECT_EQ(queue.in_flight(), 0);
-  EXPECT_FALSE(queue.pop_or_finish().has_value());
-}
-
-TEST(MutexTaskQueue, MpmcStressCompletesAllTasks) {
-  MutexTaskQueue queue;
-  constexpr int kSeeds = 64;
-  constexpr int kChildrenPerSeed = 16;
-  for (int i = 0; i < kSeeds; ++i) queue.push(make_task(1));
-
-  std::atomic<int> executed{0};
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([&] {
-      while (auto task = queue.pop_or_finish()) {
-        if (task->depth() == 1)
-          for (int c = 0; c < kChildrenPerSeed; ++c) queue.push(make_task(2));
-        executed.fetch_add(1, std::memory_order_relaxed);
-        queue.retire();
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(executed.load(), kSeeds + kSeeds * kChildrenPerSeed);
-  EXPECT_EQ(queue.in_flight(), 0);
+  EXPECT_EQ(ws.steals_remote, 0u);
+  EXPECT_EQ(ws.steals_local + ws.steals_same_node, ws.steals_succeeded);
 }
 
 TEST(WorkerPool, RunsJobOnEveryWorker) {
@@ -249,104 +225,91 @@ TEST(WorkerPool, ParksWhenSpinBudgetIsZero) {
 struct ExecCase {
   unsigned threads;
   std::uint32_t split_depth;
-  bool dynamic;
+  Scheduler scheduler;
 };
 
 class InnerExecutorTest : public ::testing::TestWithParam<ExecCase> {};
 
 TEST_P(InnerExecutorTest, MatchesSequentialEnumeration) {
   const ExecCase& c = GetParam();
-  testing::SmallWorkload wl = testing::make_workload(321, 48, 140, 2, 1, 5, 0.0, 0.0);
-  auto alg = csm::make_algorithm("graphflow");
-  alg->attach(wl.query, wl.graph);
-
-  // Collect per-update seeds over a synthetic set of probe edges: use real
-  // stream updates applied to the graph.
-  util::Rng rng(5);
-  auto stream = graph::make_insert_stream(wl.graph, 0.25, rng);
   WorkerPool pool(c.threads);
-  InnerExecutor executor(pool, c.split_depth, c.dynamic);
+  for (const auto& [name, workload_seed, stream_seed] :
+       {std::tuple{"graphflow", 321, 5}, std::tuple{"symbi", 876, 9}}) {
+    testing::SmallWorkload wl =
+        testing::make_workload(workload_seed, 48, 140, 2, 1, 5, 0.0, 0.0);
+    auto alg = csm::make_algorithm(name);
+    alg->attach(wl.query, wl.graph);
 
-  for (const auto& upd : stream) {
-    ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
-    alg->on_edge_inserted(upd);
-    std::vector<csm::SearchTask> seeds;
-    alg->seeds(upd, seeds);
+    // Collect per-update seeds over a synthetic set of probe edges: use real
+    // stream updates applied to the graph.
+    util::Rng rng(stream_seed);
+    auto stream = graph::make_insert_stream(wl.graph, 0.25, rng);
+    InnerExecutor executor(pool, c.split_depth, c.scheduler);
 
-    csm::MatchSink seq;
-    for (const auto& task : seeds) alg->expand(task, seq, nullptr);
+    for (const auto& upd : stream) {
+      ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
+      alg->on_edge_inserted(upd);
+      std::vector<csm::SearchTask> seeds;
+      alg->seeds(upd, seeds);
 
-    const InnerRunResult par = executor.run(*alg, seeds);
-    EXPECT_EQ(par.matches, seq.matches);
-    EXPECT_FALSE(par.timed_out);
+      csm::MatchSink seq;
+      for (const auto& task : seeds) alg->expand(task, seq, nullptr);
+
+      const InnerRunResult par = executor.run(*alg, seeds);
+      EXPECT_EQ(par.matches, seq.matches) << name;
+      EXPECT_FALSE(par.timed_out) << name;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, InnerExecutorTest,
-    ::testing::Values(ExecCase{1, 4, true}, ExecCase{2, 4, true},
-                      ExecCase{4, 0, true}, ExecCase{4, 2, true},
-                      ExecCase{4, 8, true}, ExecCase{8, 3, true},
-                      ExecCase{4, 4, false}, ExecCase{2, 0, false}),
+    ::testing::Values(ExecCase{1, 4, Scheduler::kCentralQueue},
+                      ExecCase{2, 4, Scheduler::kCentralQueue},
+                      ExecCase{4, 0, Scheduler::kCentralQueue},
+                      ExecCase{4, 2, Scheduler::kCentralQueue},
+                      ExecCase{4, 8, Scheduler::kCentralQueue},
+                      ExecCase{8, 3, Scheduler::kCentralQueue},
+                      ExecCase{4, 4, Scheduler::kStatic},
+                      ExecCase{2, 0, Scheduler::kStatic},
+                      ExecCase{1, 4, Scheduler::kWorkStealing},
+                      ExecCase{2, 0, Scheduler::kWorkStealing},
+                      ExecCase{4, 2, Scheduler::kWorkStealing},
+                      ExecCase{4, 8, Scheduler::kWorkStealing},
+                      ExecCase{8, 3, Scheduler::kWorkStealing}),
     [](const ::testing::TestParamInfo<ExecCase>& info) {
+      // "dyn": Algorithm 2's dynamic re-splitting on the central queue.
+      const Scheduler s = info.param.scheduler;
       return "t" + std::to_string(info.param.threads) + "_d" +
              std::to_string(info.param.split_depth) +
-             (info.param.dynamic ? "_dyn" : "_static");
+             (s == Scheduler::kCentralQueue
+                  ? "_dyn"
+                  : "_" + std::string(scheduler_name(s)));
     });
 
-class StealingExecutorTest
-    : public ::testing::TestWithParam<std::pair<unsigned, std::uint32_t>> {};
-
-TEST_P(StealingExecutorTest, MatchesSequentialEnumeration) {
-  const auto& [threads, split_depth] = GetParam();
-  testing::SmallWorkload wl = testing::make_workload(876, 48, 140, 2, 1, 5, 0.0, 0.0);
-  auto alg = csm::make_algorithm("symbi");
-  alg->attach(wl.query, wl.graph);
-  util::Rng rng(9);
-  auto stream = graph::make_insert_stream(wl.graph, 0.25, rng);
-  WorkerPool pool(threads);
-  StealingExecutor executor(pool, split_depth);
-  for (const auto& upd : stream) {
-    ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
-    alg->on_edge_inserted(upd);
-    std::vector<csm::SearchTask> seeds;
-    alg->seeds(upd, seeds);
-    csm::MatchSink seq;
-    for (const auto& task : seeds) alg->expand(task, seq, nullptr);
-    const InnerRunResult par = executor.run(*alg, seeds);
-    EXPECT_EQ(par.matches, seq.matches);
-    EXPECT_FALSE(par.timed_out);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, StealingExecutorTest,
-                         ::testing::Values(std::pair{1u, 4u}, std::pair{2u, 0u},
-                                           std::pair{4u, 2u}, std::pair{4u, 8u},
-                                           std::pair{8u, 3u}),
-                         [](const auto& info) {
-                           return "t" + std::to_string(info.param.first) + "_d" +
-                                  std::to_string(info.param.second);
-                         });
-
+// The work-stealing executor is InnerExecutor's kWorkStealing scheduler.
 TEST(StealingExecutor, EmptySeedsAreANoOp) {
   WorkerPool pool(2);
-  StealingExecutor executor(pool, 4);
+  InnerExecutor executor(pool, 4, Scheduler::kWorkStealing);
   auto alg = csm::make_algorithm("graphflow");
   testing::SmallWorkload wl = testing::make_workload(2);
   alg->attach(wl.query, wl.graph);
   const InnerRunResult r = executor.run(*alg, {});
   EXPECT_EQ(r.matches, 0u);
+  EXPECT_EQ(r.nodes, 0u);
 }
 
 TEST(InnerExecutor, EmptySeedsAreANoOp) {
   WorkerPool pool(2);
-  InnerExecutor executor(pool, 4, true);
   auto alg = csm::make_algorithm("graphflow");
   testing::SmallWorkload wl = testing::make_workload(1);
   alg->attach(wl.query, wl.graph);
-  const InnerRunResult r = executor.run(*alg, {});
-  EXPECT_EQ(r.matches, 0u);
-  EXPECT_EQ(r.nodes, 0u);
+  for (const Scheduler s : kSchedulers) {
+    InnerExecutor executor(pool, 4, s);
+    const InnerRunResult r = executor.run(*alg, {});
+    EXPECT_EQ(r.matches, 0u) << scheduler_name(s);
+    EXPECT_EQ(r.nodes, 0u) << scheduler_name(s);
+  }
 }
 
 TEST(InnerExecutor, WorkerStatsAccountAllNodes) {
@@ -356,22 +319,28 @@ TEST(InnerExecutor, WorkerStatsAccountAllNodes) {
   util::Rng rng(6);
   auto stream = graph::make_insert_stream(wl.graph, 0.2, rng);
   WorkerPool pool(4);
-  InnerExecutor executor(pool, 3, true);
+  std::vector<std::unique_ptr<InnerExecutor>> executors;
+  for (const Scheduler s : kSchedulers)
+    executors.push_back(std::make_unique<InnerExecutor>(pool, 3, s));
   for (const auto& upd : stream) {
     wl.graph.add_edge(upd.u, upd.v, upd.label);
     std::vector<csm::SearchTask> seeds;
     alg->seeds(upd, seeds);
     if (seeds.empty()) continue;
-    const InnerRunResult r = executor.run(*alg, seeds);
-    std::uint64_t worker_nodes = 0, worker_matches = 0;
-    for (const auto& w : r.stats.workers) {
-      worker_nodes += w.nodes;
-      worker_matches += w.matches;
+    for (const auto& executor : executors) {
+      const InnerRunResult r = executor->run(*alg, seeds);
+      std::uint64_t worker_nodes = 0, worker_matches = 0;
+      for (const auto& w : r.stats.workers) {
+        worker_nodes += w.nodes;
+        worker_matches += w.matches;
+      }
+      // Total = init-phase nodes + worker nodes.
+      const std::string_view name = scheduler_name(executor->scheduler());
+      EXPECT_GE(r.nodes, worker_nodes) << name;
+      EXPECT_GE(r.matches, worker_matches) << name;
+      EXPECT_GE(r.stats.sequential_equivalent_ns(), r.stats.simulated_makespan_ns())
+          << name;
     }
-    // Total = init-phase nodes + worker nodes.
-    EXPECT_GE(r.nodes, worker_nodes);
-    EXPECT_GE(r.matches, worker_matches);
-    EXPECT_GE(r.stats.sequential_equivalent_ns(), r.stats.simulated_makespan_ns());
   }
 }
 
@@ -384,18 +353,23 @@ TEST(InnerExecutor, DeadlineAbortsAndTerminates) {
   auto stream = graph::make_insert_stream(g, 0.05, rng);
   alg->attach(*q, g);
   WorkerPool pool(4);
-  InnerExecutor executor(pool, 4, true);
-  bool saw_timeout = false;
+  std::vector<std::unique_ptr<InnerExecutor>> executors;
+  std::array<bool, kSchedulers.size()> saw_timeout{};
+  for (const Scheduler s : kSchedulers)
+    executors.push_back(std::make_unique<InnerExecutor>(pool, 4, s));
   for (const auto& upd : stream) {
     g.add_edge(upd.u, upd.v, upd.label);
     std::vector<csm::SearchTask> seeds;
     alg->seeds(upd, seeds);
     if (seeds.empty()) continue;
-    const InnerRunResult r =
-        executor.run(*alg, seeds, util::Clock::now() - std::chrono::milliseconds(1));
-    saw_timeout = saw_timeout || r.timed_out;
+    for (std::size_t i = 0; i < executors.size(); ++i) {
+      const InnerRunResult r = executors[i]->run(
+          *alg, seeds, util::Clock::now() - std::chrono::milliseconds(1));
+      saw_timeout[i] = saw_timeout[i] || r.timed_out;
+    }
   }
-  EXPECT_TRUE(saw_timeout);
+  for (std::size_t i = 0; i < executors.size(); ++i)
+    EXPECT_TRUE(saw_timeout[i]) << scheduler_name(kSchedulers[i]);
 }
 
 }  // namespace

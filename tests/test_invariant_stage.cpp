@@ -81,8 +81,11 @@ TEST(InvariantStage, BlindStageFoldsEdgeLabelsTogether) {
   // A blind stage must count an edge with ANY edge label into the triple.
   ASSERT_TRUE(g.add_edge(0, 1, 7));
   stage.on_edge(0, 1, 7, +1);
-  for (const auto& t : stage.triples())
-    if (t.lmin == 0 && t.lmax == 1) EXPECT_EQ(t.count, 1);
+  for (const auto& t : stage.triples()) {
+    if (t.lmin == 0 && t.lmax == 1) {
+      EXPECT_EQ(t.count, 1);
+    }
+  }
 }
 
 TEST(InvariantStage, EndpointLabelOrderIsNormalized) {
@@ -94,8 +97,11 @@ TEST(InvariantStage, EndpointLabelOrderIsNormalized) {
   InvariantStage stage(q, g, /*edge_label_blind=*/false);
   // Reporting (lv, lu) instead of (lu, lv) must hit the same triple.
   stage.on_edge(1, 0, 1, +1);
-  for (const auto& t : stage.triples())
-    if (t.lmin == 0 && t.lmax == 1) EXPECT_EQ(t.count, 1);
+  for (const auto& t : stage.triples()) {
+    if (t.lmin == 0 && t.lmax == 1) {
+      EXPECT_EQ(t.count, 1);
+    }
+  }
   stage.on_edge(0, 1, 1, -1);
   for (const auto& t : stage.triples()) EXPECT_EQ(t.count, 0);
 }

@@ -65,6 +65,40 @@ TEST(MultiQueryEngine, MatchesIndependentSingleQueryRuns) {
   }
 }
 
+// Config::scheduler reaches the multi-query engine's executor. At one thread
+// the central queue never re-splits (its only worker is never idle while it
+// works) and the stealing policy always primes its deque; ΔM is the same.
+TEST(MultiQueryEngine, HonorsConfiguredScheduler) {
+  util::Rng rng(4242);
+  graph::DataGraph base = graph::generate_erdos_renyi(40, 140, 2, 1, rng);
+  std::vector<QuerySpec> specs;
+  for (const auto name : {"graphflow", "symbi", "turboflux"}) {
+    const auto q = graph::extract_query(base, 5, rng);
+    ASSERT_TRUE(q.has_value());
+    specs.push_back({std::string(name), *q});
+  }
+  auto stream = graph::make_mixed_stream(base, 0.3, 0.4, rng);
+
+  std::vector<MultiStreamResult> results;
+  for (const auto scheduler :
+       {engine::Scheduler::kCentralQueue, engine::Scheduler::kWorkStealing}) {
+    graph::DataGraph g = base;
+    Config cfg;
+    cfg.threads = 1;
+    cfg.scheduler = scheduler;
+    MultiQueryEngine engine(g, cfg);
+    for (const auto& spec : specs) engine.add_query(spec.algorithm, spec.query);
+    results.push_back(engine.process_stream(stream));
+  }
+  const MultiStreamResult& central = results[0];
+  const MultiStreamResult& stealing = results[1];
+  EXPECT_EQ(central.stats.total_offloads(), 0u);
+  EXPECT_GT(stealing.stats.total_offloads(), 0u);
+  EXPECT_GT(central.total_matches(), 0u);
+  EXPECT_EQ(stealing.positive, central.positive);
+  EXPECT_EQ(stealing.negative, central.negative);
+}
+
 TEST(MultiQueryEngine, SafeOnlyWhenSafeForEveryQuery) {
   // Query 1 matches label pair (0,1); query 2 matches (2,3). An edge with
   // labels (2,3) is unsafe for query 2 even though query 1 filters it.

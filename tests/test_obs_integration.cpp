@@ -230,8 +230,12 @@ TEST(ObsIntegration, BackendCountersConserveStreamAccounting) {
 #else
     EXPECT_EQ(bw.verify_diffs, 0u);
 #endif
-    if (kind == engine::BatchBackendKind::kCpu) EXPECT_EQ(bw.batches, 0u);
-    if (kind == engine::BatchBackendKind::kWide) EXPECT_EQ(bc.batches, 0u);
+    if (kind == engine::BatchBackendKind::kCpu) {
+      EXPECT_EQ(bw.batches, 0u);
+    }
+    if (kind == engine::BatchBackendKind::kWide) {
+      EXPECT_EQ(bc.batches, 0u);
+    }
   }
 }
 

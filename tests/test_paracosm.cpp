@@ -121,7 +121,7 @@ TEST(ParaCosmLoadBalance, StaticPartitionStillCorrect) {
   auto alg = csm::make_algorithm("turboflux");
   Config cfg;
   cfg.threads = 4;
-  cfg.dynamic_balance = false;  // Figure 10 "unbalanced" baseline
+  cfg.scheduler = Scheduler::kStatic;  // Figure 10 "unbalanced" baseline
   cfg.inter_parallelism = false;
   graph::DataGraph g = wl.graph;
   ParaCosm pc(*alg, wl.query, g, cfg);

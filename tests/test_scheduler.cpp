@@ -2,7 +2,7 @@
 // observably identical to sequential enumeration. For every update we
 // collect the FULL match set (not just the count) through the match
 // callback and require the delivered streams to be byte-identical across
-//   sequential  ×  inner-dynamic  ×  inner-static  ×  work-stealing
+//   sequential  ×  central queue  ×  work stealing  ×  static partition
 // at 1/2/4/8 threads — exercising the deterministic per-worker-buffer merge
 // (match_buffer.hpp) and the Chase–Lev termination protocol under real
 // search trees. Degenerate shapes (empty tree, single seed) are covered
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <span>
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "paracosm/inner_executor.hpp"
-#include "paracosm/steal_executor.hpp"
 #include "paracosm/worker_pool.hpp"
 #include "tests/test_support.hpp"
 
@@ -25,6 +25,21 @@ namespace paracosm::engine {
 namespace {
 
 using MatchSet = std::vector<std::vector<csm::Assignment>>;
+
+constexpr std::array<Scheduler, 3> kSchedulers = {
+    Scheduler::kCentralQueue, Scheduler::kWorkStealing, Scheduler::kStatic};
+
+/// Tiny spin budget: every run exercises park/unpark, not just spinning.
+constexpr std::uint32_t kSpin = 8;
+
+/// One executor per scheduler over `pool`.
+std::vector<std::unique_ptr<InnerExecutor>> all_executors(WorkerPool& pool,
+                                                          std::uint32_t split_depth) {
+  std::vector<std::unique_ptr<InnerExecutor>> out;
+  for (const Scheduler s : kSchedulers)
+    out.push_back(std::make_unique<InnerExecutor>(pool, split_depth, s, kSpin));
+  return out;
+}
 
 /// Callback that records every delivered mapping.
 struct Collector {
@@ -74,38 +89,21 @@ TEST_P(SchedulerTortureTest, AllExecutorsDeliverIdenticalMatchSets) {
   auto stream = graph::make_insert_stream(wl.graph, 0.3, rng);
   ASSERT_FALSE(stream.empty());
 
-  // Tiny spin budget: every run exercises park/unpark, not just spinning.
-  const QueueKnobs knobs{.spin_iters = 8};
   struct Rig {
     std::unique_ptr<WorkerPool> pool;
-    std::unique_ptr<InnerExecutor> inner_dyn;
-    std::unique_ptr<InnerExecutor> inner_static;
-    std::unique_ptr<StealingExecutor> stealing;
-    std::unique_ptr<StealingExecutor> stealing_topo;  ///< topology-ordered sweep
+    std::vector<std::unique_ptr<InnerExecutor>> executors;
   };
-  // Policy-only emulated 2-node topology (never pins): the topology-aware
-  // victim order must deliver the exact same byte-identical match stream as
-  // the flat sweep — distance ordering is a performance policy, not a
-  // semantic one (ISSUE 7 acceptance criterion).
+  // Policy-only emulated 2-node topology (never pins): the tiered victim
+  // order must deliver the exact same byte-identical match stream as
+  // sequential enumeration — distance ordering is a performance policy, not
+  // a semantic one.
   const util::HwTopology topo = util::HwTopology::emulated(2, 4);
   std::vector<Rig> rigs;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     Rig rig;
-    PoolOptions popts;
-    popts.spin_iters = 8;
-    popts.topology = &topo;
-    rig.pool = std::make_unique<WorkerPool>(threads, popts);
-    rig.inner_dyn = std::make_unique<InnerExecutor>(*rig.pool, tc.split_depth,
-                                                    /*dynamic=*/true, knobs);
-    rig.inner_static = std::make_unique<InnerExecutor>(*rig.pool, tc.split_depth,
-                                                       /*dynamic=*/false, knobs);
-    rig.stealing =
-        std::make_unique<StealingExecutor>(*rig.pool, tc.split_depth, knobs);
-    QueueKnobs topo_knobs = knobs;
-    topo_knobs.victims = &rig.pool->victim_table();
-    topo_knobs.topo_order = true;
-    rig.stealing_topo =
-        std::make_unique<StealingExecutor>(*rig.pool, tc.split_depth, topo_knobs);
+    rig.pool = std::make_unique<WorkerPool>(
+        threads, PoolOptions{.spin_iters = kSpin, .topology = &topo});
+    rig.executors = all_executors(*rig.pool, tc.split_depth);
     rigs.push_back(std::move(rig));
   }
 
@@ -117,36 +115,19 @@ TEST_P(SchedulerTortureTest, AllExecutorsDeliverIdenticalMatchSets) {
 
     const MatchSet expected = sequential_reference(*alg, seeds);
     for (Rig& rig : rigs) {
-      const unsigned threads = rig.pool->size();
-      {
+      for (const auto& executor : rig.executors) {
+        const std::string where = std::string(scheduler_name(executor->scheduler())) +
+                                  " t" + std::to_string(rig.pool->size());
         Collector got;
-        const InnerRunResult r = rig.inner_dyn->run(*alg, seeds, {}, &got.fn);
-        EXPECT_EQ(got.matches, expected) << "inner-dynamic t" << threads;
-        EXPECT_EQ(r.matches, expected.size()) << "inner-dynamic t" << threads;
-      }
-      {
-        Collector got;
-        const InnerRunResult r = rig.inner_static->run(*alg, seeds, {}, &got.fn);
-        EXPECT_EQ(got.matches, expected) << "inner-static t" << threads;
-        EXPECT_EQ(r.matches, expected.size()) << "inner-static t" << threads;
-      }
-      {
-        Collector got;
-        const InnerRunResult r = rig.stealing->run(*alg, seeds, {}, &got.fn);
-        EXPECT_EQ(got.matches, expected) << "stealing t" << threads;
-        EXPECT_EQ(r.matches, expected.size()) << "stealing t" << threads;
-      }
-      {
-        Collector got;
-        const InnerRunResult r = rig.stealing_topo->run(*alg, seeds, {}, &got.fn);
-        EXPECT_EQ(got.matches, expected) << "stealing-topo t" << threads;
-        EXPECT_EQ(r.matches, expected.size()) << "stealing-topo t" << threads;
+        const InnerRunResult r = executor->run(*alg, seeds, {}, &got.fn);
+        EXPECT_EQ(got.matches, expected) << where;
+        EXPECT_EQ(r.matches, expected.size()) << where;
         // Per-distance counters partition successful steals.
         const ParallelStats& st = r.stats;
         EXPECT_EQ(st.total_steals_local() + st.total_steals_same_node() +
                       st.total_steals_remote(),
                   st.total_steals_succeeded())
-            << "stealing-topo t" << threads;
+            << where;
       }
     }
   }
@@ -169,12 +150,10 @@ TEST(SchedulerTorture, EmptyTreeIsANoOpOnEveryExecutor) {
   auto alg = csm::make_algorithm("graphflow");
   alg->attach(wl.query, wl.graph);
   for (unsigned threads : {1u, 4u, 8u}) {
-    WorkerPool pool(threads, 8);
-    InnerExecutor inner(pool, 4, true, QueueKnobs{.spin_iters = 8});
-    StealingExecutor stealing(pool, 4, QueueKnobs{.spin_iters = 8});
+    WorkerPool pool(threads, kSpin);
     Collector got;
-    EXPECT_EQ(inner.run(*alg, {}, {}, &got.fn).matches, 0u);
-    EXPECT_EQ(stealing.run(*alg, {}, {}, &got.fn).matches, 0u);
+    for (const auto& executor : all_executors(pool, 4))
+      EXPECT_EQ(executor->run(*alg, {}, {}, &got.fn).matches, 0u);
     EXPECT_TRUE(got.matches.empty());
   }
 }
@@ -185,9 +164,8 @@ TEST(SchedulerTorture, SingleSeedMatchesSequential) {
   alg->attach(wl.query, wl.graph);
   util::Rng rng(17);
   auto stream = graph::make_insert_stream(wl.graph, 0.2, rng);
-  WorkerPool pool(8, 8);
-  InnerExecutor inner(pool, 4, true, QueueKnobs{.spin_iters = 8});
-  StealingExecutor stealing(pool, 4, QueueKnobs{.spin_iters = 8});
+  WorkerPool pool(8, kSpin);
+  const auto executors = all_executors(pool, 4);
   for (const auto& upd : stream) {
     ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
     alg->on_edge_inserted(upd);
@@ -196,35 +174,40 @@ TEST(SchedulerTorture, SingleSeedMatchesSequential) {
     if (seeds.empty()) continue;
     seeds.resize(1);  // a one-seed tree: everything hinges on splitting
     const MatchSet expected = sequential_reference(*alg, seeds);
-    Collector a, b;
-    EXPECT_EQ(inner.run(*alg, seeds, {}, &a.fn).matches, expected.size());
-    EXPECT_EQ(stealing.run(*alg, seeds, {}, &b.fn).matches, expected.size());
-    EXPECT_EQ(a.matches, expected);
-    EXPECT_EQ(b.matches, expected);
+    for (const auto& executor : executors) {
+      Collector got;
+      EXPECT_EQ(executor->run(*alg, seeds, {}, &got.fn).matches, expected.size())
+          << scheduler_name(executor->scheduler());
+      EXPECT_EQ(got.matches, expected) << scheduler_name(executor->scheduler());
+    }
   }
 }
 
-/// Repeated runs on one persistent executor must not leak state across runs
-/// (warm deques, recycled nodes, counter export).
+/// Repeated runs on one persistent queue must not leak state across runs
+/// (warm deques, recycled nodes, counter export) under either queue policy.
 TEST(SchedulerTorture, PersistentQueueIsCleanAcrossRuns) {
   testing::SmallWorkload wl = testing::make_workload(77, 48, 150, 2, 1, 5, 0.0, 0.0);
   auto alg = csm::make_algorithm("symbi");
   alg->attach(wl.query, wl.graph);
   util::Rng rng(4);
   auto stream = graph::make_insert_stream(wl.graph, 0.3, rng);
-  WorkerPool pool(4, 8);
-  StealingExecutor stealing(pool, 3, QueueKnobs{.spin_iters = 8});
+  WorkerPool pool(4, kSpin);
+  InnerExecutor central(pool, 3, Scheduler::kCentralQueue, kSpin);
+  InnerExecutor stealing(pool, 3, Scheduler::kWorkStealing, kSpin);
   for (const auto& upd : stream) {
     ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
     alg->on_edge_inserted(upd);
     std::vector<csm::SearchTask> seeds;
     alg->seeds(upd, seeds);
     const MatchSet expected = sequential_reference(*alg, seeds);
-    for (int rep = 0; rep < 3; ++rep) {
-      Collector got;
-      const InnerRunResult r = stealing.run(*alg, seeds, {}, &got.fn);
-      ASSERT_EQ(r.matches, expected.size()) << "rep " << rep;
-      ASSERT_EQ(got.matches, expected) << "rep " << rep;
+    for (InnerExecutor* executor : {&central, &stealing}) {
+      const std::string_view name = scheduler_name(executor->scheduler());
+      for (int rep = 0; rep < 3; ++rep) {
+        Collector got;
+        const InnerRunResult r = executor->run(*alg, seeds, {}, &got.fn);
+        ASSERT_EQ(r.matches, expected.size()) << name << " rep " << rep;
+        ASSERT_EQ(got.matches, expected) << name << " rep " << rep;
+      }
     }
   }
 }

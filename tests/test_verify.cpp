@@ -100,6 +100,7 @@ TEST(Repro, RoundTripsCaseAndCellMetadata) {
   d.algorithm = "turboflux";
   d.lane = Lane::kBatch;
   d.threads = 4;
+  d.scheduler = engine::Scheduler::kWorkStealing;
   d.query_index = 1;
   d.update_index = 7;
   d.message = "delta count mismatch:\nmulti-line detail";
@@ -117,6 +118,7 @@ TEST(Repro, RoundTripsCaseAndCellMetadata) {
   EXPECT_EQ(back.cell->algorithm, "turboflux");
   EXPECT_EQ(back.cell->lane, Lane::kBatch);
   EXPECT_EQ(back.cell->threads, 4u);
+  EXPECT_EQ(back.cell->scheduler, engine::Scheduler::kWorkStealing);
   EXPECT_EQ(back.cell->query_index, 1u);
   ASSERT_TRUE(back.cell->update_index.has_value());
   EXPECT_EQ(*back.cell->update_index, 7u);

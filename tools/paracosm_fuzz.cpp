@@ -60,9 +60,7 @@ std::vector<std::string> parse_name_list(const std::string& csv) {
 
 std::vector<verify::LaneConfig> lanes_for(const std::vector<unsigned>& threads,
                                           bool backend_diff, bool control_diff) {
-  std::vector<verify::LaneConfig> lanes{{verify::Lane::kSequential, 1}};
-  for (const unsigned t : threads) lanes.push_back({verify::Lane::kInner, t});
-  for (const unsigned t : threads) lanes.push_back({verify::Lane::kBatch, t});
+  std::vector<verify::LaneConfig> lanes = verify::default_lane_matrix(threads);
   if (backend_diff) {
     // Differential backend lane: re-run every batch cell on the wide
     // (AVX2/SWAR) backend. Both arms reconcile against the same oracle

@@ -236,12 +236,6 @@ int run_multi(const util::Cli& cli, graph::DataGraph& g,
   config.threads = static_cast<unsigned>(cli.get_int("threads"));
   config.pin_threads = cli.get_bool("pin");
   config.inter_parallelism = false;  // the service processes one update at a time
-  if (const auto kind = engine::parse_batch_backend(cli.get("backend"))) {
-    config.batch_backend = *kind;
-  } else {
-    std::fprintf(stderr, "error: --backend must be cpu, wide or auto\n");
-    return 2;
-  }
   engine::MultiQueryEngine engine(g, config);
   engine.set_shared_evaluation(!cli.get_bool("no-sharing"));
 
@@ -655,9 +649,6 @@ int main(int argc, char** argv) {
               "CPU in the process affinity mask)")
       .flag("pin", "pin workers to CPUs (topology-aware; no-op without sysfs)")
       .option("policy", "block", "overload policy: block|shed|degrade")
-      .option("backend", "cpu",
-              "batch classification backend (cpu|wide|auto); only exercised "
-              "by batched replay paths — live serving is per-update")
       .option("queue", "1024", "ingest ring capacity")
       .flag("adaptive",
             "adaptive admission (DESIGN.md §13): an AIMD controller retunes "
@@ -883,12 +874,6 @@ int main(int argc, char** argv) {
   config.threads = static_cast<unsigned>(cli.get_int("threads"));
   config.pin_threads = cli.get_bool("pin");
   config.inter_parallelism = false;  // the service processes one update at a time
-  if (const auto kind = engine::parse_batch_backend(cli.get("backend"))) {
-    config.batch_backend = *kind;
-  } else {
-    std::fprintf(stderr, "error: --backend must be cpu, wide or auto\n");
-    return 2;
-  }
   engine::ParaCosm pc(*algorithm, q, g, config);
 
   std::printf("serving %zu update(s) [%s x%u, policy %s, queue %zu%s%s]\n",
@@ -963,12 +948,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.snapshots));
   if (sopts.adaptive)
     std::printf("control: %llu window(s), %llu watermark decision(s) "
-                "(g%llu/s%llu), final watermark %u/%zu\n",
+                "(g%llu/s%llu), final watermark %llu/%zu\n",
                 static_cast<unsigned long long>(report.control.epochs),
                 static_cast<unsigned long long>(report.control.decisions),
                 static_cast<unsigned long long>(report.control.grows),
                 static_cast<unsigned long long>(report.control.shrinks),
-                report.degrade_watermark, sopts.queue_capacity);
+                static_cast<unsigned long long>(report.degrade_watermark),
+                sopts.queue_capacity);
   std::printf("latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, p99.9 %.3f ms, "
               "max %.3f ms\n",
               static_cast<double>(lat.p50_ns) / 1e6,

@@ -5,82 +5,53 @@
 // Everything interesting lives in src/shard/worker.cpp; this translation
 // unit is only flag parsing.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 #include "shard/worker.hpp"
-
-namespace {
-
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: paracosm_shard --id K --shards N --fd FD --graph G --query Q\n"
-      "                      [--algorithm A] [--threads T] [--wal PATH]\n"
-      "                      [--snapshot PATH] [--snapshot-every N]\n"
-      "                      [--budget-us U] [--metrics-out PATH]\n"
-      "                      [--metrics-every N] [--recover] [--kill-at S]\n");
-}
-
-}  // namespace
+#include "util/cli.hpp"
 
 int main(int argc, char** argv) {
+  paracosm::util::Cli cli("paracosm_shard",
+                          "shard worker process, forked by paracosm_serve "
+                          "--shards N (DESIGN.md §12)");
+  cli.option("id", "0", "this shard's id, in [0, shards)")
+      .option("shards", "0", "number of shards (required)")
+      .option("fd", "-1", "inherited socketpair fd to the coordinator (required)")
+      .option("graph", "", "data graph file (required)")
+      .option("query", "", "query graph file (required)")
+      .option("algorithm", "graphflow", "CSM algorithm")
+      .option("threads", "1", "worker threads for the search phase")
+      .option("wal", "", "write-ahead log path")
+      .option("snapshot", "", "snapshot path")
+      .option("snapshot-every", "0", "updates between snapshots (0 = never)")
+      .option("budget-us", "0", "per-update search budget in microseconds")
+      .option("metrics-out", "", "metrics file path")
+      .option("metrics-every", "0", "updates between metrics flushes")
+      .flag("recover", "replay the WAL on top of the snapshot before serving")
+      .option("kill-at", "-1",
+              "fault: exit right after the WAL append of this sequence");
+  if (!cli.parse(argc, argv)) return cli.exit_code();
+
   paracosm::shard::WorkerOptions opts;
-  bool have_fd = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--id") {
-      opts.shard_id = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--shards") {
-      opts.n_shards = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--fd") {
-      opts.fd = std::atoi(next());
-      have_fd = true;
-    } else if (arg == "--graph") {
-      opts.graph_path = next();
-    } else if (arg == "--query") {
-      opts.query_path = next();
-    } else if (arg == "--algorithm") {
-      opts.algorithm = next();
-    } else if (arg == "--threads") {
-      opts.threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--wal") {
-      opts.wal_path = next();
-    } else if (arg == "--snapshot") {
-      opts.snapshot_path = next();
-    } else if (arg == "--snapshot-every") {
-      opts.snapshot_every = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--budget-us") {
-      opts.budget_us = std::strtoll(next(), nullptr, 10);
-    } else if (arg == "--metrics-out") {
-      opts.metrics_path = next();
-    } else if (arg == "--metrics-every") {
-      opts.metrics_every = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--recover") {
-      opts.recover = true;
-    } else if (arg == "--kill-at") {
-      opts.kill_at = std::strtoll(next(), nullptr, 10);
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      usage();
-      return 2;
-    }
-  }
-  if (!have_fd || opts.fd < 0 || opts.graph_path.empty() ||
-      opts.query_path.empty() || opts.n_shards == 0 ||
-      opts.shard_id >= opts.n_shards) {
-    usage();
+  opts.shard_id = static_cast<std::uint32_t>(cli.get_int("id"));
+  opts.n_shards = static_cast<std::uint32_t>(cli.get_int("shards"));
+  opts.fd = static_cast<int>(cli.get_int("fd"));
+  opts.graph_path = cli.get("graph");
+  opts.query_path = cli.get("query");
+  opts.algorithm = cli.get("algorithm");
+  opts.threads = static_cast<unsigned>(cli.get_int("threads"));
+  opts.wal_path = cli.get("wal");
+  opts.snapshot_path = cli.get("snapshot");
+  opts.snapshot_every = static_cast<std::uint64_t>(cli.get_int("snapshot-every"));
+  opts.budget_us = cli.get_int("budget-us");
+  opts.metrics_path = cli.get("metrics-out");
+  opts.metrics_every = static_cast<std::uint64_t>(cli.get_int("metrics-every"));
+  opts.recover = cli.get_bool("recover");
+  opts.kill_at = cli.get_int("kill-at");
+  if (opts.fd < 0 || opts.graph_path.empty() || opts.query_path.empty() ||
+      opts.n_shards == 0 || opts.shard_id >= opts.n_shards) {
+    std::fprintf(stderr,
+                 "paracosm_shard: --id, --shards, --fd, --graph and --query "
+                 "are required, with id < shards (try --help)\n");
     return 2;
   }
   return paracosm::shard::run_worker(opts);

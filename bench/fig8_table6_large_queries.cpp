@@ -67,10 +67,11 @@ int main(int argc, char** argv) {
                 format_speedup(base.mean_ms, fast.mean_ms, base.success_rate > 0,
                                fast.success_rate > 0)});
       const double delta = fast.success_rate - base.success_rate;
+      std::string delta_cell = delta >= 0 ? "+" : "";
+      delta_cell += util::Table::num(delta, 0);
       table6.row({std::string(name), std::to_string(size),
                   util::Table::num(base.success_rate, 0),
-                  util::Table::num(fast.success_rate, 0),
-                  (delta >= 0 ? "+" : "") + util::Table::num(delta, 0)});
+                  util::Table::num(fast.success_rate, 0), delta_cell});
       csv.row({std::string(name), std::to_string(size),
                util::CsvWriter::num(base.mean_ms), util::CsvWriter::num(fast.mean_ms),
                util::CsvWriter::num(base.mean_ms > 0 && fast.mean_ms > 0

@@ -59,13 +59,6 @@ enum class EventKind : std::uint32_t {
   kShardRetry,     ///< instant: a transport retry; args shard, seq, error
   kShardRestart,   ///< instant: supervised shard restart; args shard, restarts
 
-  // Feedback control (DESIGN.md §13, per decision / per certified batch).
-  kControlDecision, ///< instant: a controller republished a knob; args knob,
-                    ///< from, to (knob ids in control/controller.hpp)
-  kInvariantCert,   ///< instant: the aggregate invariant certified a whole
-                    ///< batch ahead of the exact classifier; args lanes,
-                    ///< inserts
-
   kCount
 };
 
@@ -110,8 +103,6 @@ inline constexpr std::uint32_t kEventKindCount =
     case EventKind::kShardRequest: return "shard_request";
     case EventKind::kShardRetry: return "shard_retry";
     case EventKind::kShardRestart: return "shard_restart";
-    case EventKind::kControlDecision: return "control_decision";
-    case EventKind::kInvariantCert: return "invariant_cert";
     case EventKind::kCount: break;
   }
   return "?";
@@ -149,10 +140,6 @@ inline constexpr std::uint32_t kEventKindCount =
     case EventKind::kShardRetry:
     case EventKind::kShardRestart:
       return "shard";
-    case EventKind::kControlDecision:
-      return "control";
-    case EventKind::kInvariantCert:
-      return "classifier";
     default:
       return "misc";
   }
@@ -184,8 +171,6 @@ inline constexpr std::uint32_t kEventKindCount =
     case EventKind::kShardRequest: return {"shard", "seq", "type"};
     case EventKind::kShardRetry: return {"shard", "seq", "error"};
     case EventKind::kShardRestart: return {"shard", "restarts", nullptr};
-    case EventKind::kControlDecision: return {"knob", "from", "to"};
-    case EventKind::kInvariantCert: return {"lanes", "inserts", nullptr};
     default: return {"a", "b", "c"};
   }
 }

@@ -72,7 +72,6 @@ void BatchBackend::count_verdicts(std::span<const UpdateClass> verdicts) noexcep
       case UpdateClass::kSafeLabel: ++stats_.safe_label; break;
       case UpdateClass::kSafeDegree: ++stats_.safe_degree; break;
       case UpdateClass::kSafeAds: ++stats_.safe_ads; break;
-      case UpdateClass::kSafeInvariant: break;  // never produced by a backend
       case UpdateClass::kUnsafe: ++stats_.unsafe_lanes; break;
     }
   }

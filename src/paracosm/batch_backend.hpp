@@ -127,7 +127,7 @@ class WideBackend final : public BatchBackend {
 
 /// Registry: construct a concrete backend by kind. kAuto is a per-batch
 /// routing policy, not a backend — the caller holds one backend of each kind
-/// and picks per batch (Config::wide_auto_cutoff); asking for kAuto here
+/// and picks per batch (ParaCosm::backend_for); asking for kAuto here
 /// returns the wide backend.
 [[nodiscard]] std::unique_ptr<BatchBackend> make_batch_backend(
     BatchBackendKind kind, const BackendBind& bind,

@@ -88,7 +88,6 @@ UpdateClass UpdateClassifier::classify_counted(const graph::GraphUpdate& upd,
     case UpdateClass::kSafeLabel: ++stats.safe_label; break;
     case UpdateClass::kSafeDegree: ++stats.safe_degree; break;
     case UpdateClass::kSafeAds: ++stats.safe_ads; break;
-    case UpdateClass::kSafeInvariant: ++stats.safe_invariant; break;
     case UpdateClass::kUnsafe: ++stats.unsafe_updates; break;
   }
   return c;

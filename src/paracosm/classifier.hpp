@@ -29,9 +29,6 @@ enum class UpdateClass : std::uint8_t {
   kSafeLabel,      // decided by stage 1
   kSafeDegree,     // decided by stage 2 (stage 3 consulted when an ADS exists)
   kSafeAds,        // decided by stage 3
-  kSafeInvariant,  // whole batch certified by the aggregate-invariant stage
-                   // ahead of stages 1-3 (invariant_stage.hpp); never
-                   // produced by classify() or the batch backends
   kUnsafe,
 };
 

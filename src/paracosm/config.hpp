@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "util/hw_topo.hpp"
-#include "util/wide_ops.hpp"
 
 namespace paracosm::engine {
 
@@ -57,8 +56,9 @@ enum class BatchMode : std::uint8_t {
 enum class BatchBackendKind : std::uint8_t {
   kCpu,   ///< worker-pool scalar classification (the PR-2 path)
   kWide,  ///< AVX2/SWAR wide-lane classification (util/wide_ops.hpp)
-  kAuto,  ///< per batch: wide up to Config::wide_auto_cutoff lanes (and
-          ///  always on single-thread pools), pool-strided cpu beyond
+  kAuto,  ///< per batch: cpu for single-lane batches, otherwise wide up to
+          ///  512 lanes (and always on single-thread pools), pool-strided
+          ///  cpu beyond (ParaCosm::backend_for)
 };
 
 [[nodiscard]] constexpr std::string_view batch_backend_name(
@@ -124,27 +124,6 @@ struct Config {
   /// byte-identical verdicts (and therefore identical ΔM); they differ only
   /// in how the classification work is executed.
   BatchBackendKind batch_backend = BatchBackendKind::kCpu;
-
-  /// kAuto crossover: batches with at most this many lanes go wide; larger
-  /// batches go to the pool-strided cpu backend (with >1 worker the pooled
-  /// scalar path overtakes the mostly-serial wide gather once the batch is
-  /// big enough to amortize pool dispatch — bench/ablation_backend.cpp; on
-  /// a single-thread pool kAuto always picks wide). Default is the measured
-  /// crossover on the Orkut stand-in at 4 threads.
-  unsigned wide_auto_cutoff = 512;
-
-  /// Instruction-path override for the wide backend (tests force the SWAR
-  /// and AVX2 paths explicitly; kForceAvx2 without hardware support
-  /// downgrades to SWAR and counts a fallback activation).
-  util::wide::Dispatch wide_dispatch = util::wide::Dispatch::kAuto;
-
-  /// Pre-ADS aggregate-invariant batch certifier (DESIGN.md §13.4): when a
-  /// whole batch is provably match-free, its effective edge updates are
-  /// applied without classification or enumeration. Only engages for
-  /// index-free algorithms (has_ads() == false) in BatchMode::kStrict —
-  /// the engine silently skips the stage otherwise. ΔM is unchanged either
-  /// way; the knob exists so static runs stay byte-comparable to PR 9.
-  bool invariant_stage = false;
 
   [[nodiscard]] unsigned effective_threads() const {
     if (threads != 0) return threads;

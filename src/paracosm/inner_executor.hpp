@@ -65,18 +65,11 @@ class InnerExecutor {
       const std::function<void(std::span<const csm::Assignment>)>* on_match = nullptr,
       util::CancelView cancel = {});
 
-  /// Re-route SPLIT_DEPTH for subsequent run() calls (the adaptive control
-  /// plane publishes through ParaCosm's TuningView; the engine forwards here
-  /// before each search). Must not be called while run() is in flight.
-  void set_split_depth(std::uint32_t depth) noexcept { split_depth_ = depth; }
-  [[nodiscard]] std::uint32_t split_depth() const noexcept {
-    return split_depth_;
-  }
   [[nodiscard]] Scheduler scheduler() const noexcept { return scheduler_; }
 
  private:
   WorkerPool& pool_;
-  std::uint32_t split_depth_;
+  const std::uint32_t split_depth_;
   Scheduler scheduler_;
   TaskQueue queue_;  ///< persistent CQ, warm across updates
 };

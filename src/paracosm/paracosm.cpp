@@ -12,13 +12,23 @@ using graph::GraphUpdate;
 using graph::UpdateOp;
 using graph::VertexId;
 
+namespace {
+
+/// kAuto crossover: batches with at most this many lanes go wide; larger
+/// batches go to the pool-strided cpu backend (with >1 worker the pooled
+/// scalar path overtakes the mostly-serial wide gather once the batch is
+/// big enough to amortize pool dispatch — bench/ablation_backend.cpp). The
+/// measured crossover on the Orkut stand-in at 4 threads.
+constexpr std::size_t kWideAutoCutoff = 512;
+
+}  // namespace
+
 ParaCosm::ParaCosm(csm::CsmAlgorithm& alg, const graph::QueryGraph& q,
                    graph::DataGraph& g, Config config)
     : alg_(alg),
       q_(q),
       g_(g),
       config_(config),
-      tuning_(config.split_depth, config.batch_size, config.wide_auto_cutoff),
       runtime_(config),
       classifier_(q, g, alg) {
   alg_.attach(q_, g_);
@@ -26,14 +36,7 @@ ParaCosm::ParaCosm(csm::CsmAlgorithm& alg, const graph::QueryGraph& q,
   // dozen broadcast operands); Config::batch_backend only routes batches.
   const BackendBind bind{&q_, &g_, &alg_, &classifier_, &runtime_.pool, &locks_};
   backend_cpu_ = make_batch_backend(BatchBackendKind::kCpu, bind);
-  backend_wide_ =
-      make_batch_backend(BatchBackendKind::kWide, bind, config_.wide_dispatch);
-  // The aggregate-invariant certifier only engages where it is sound: no
-  // ADS to perturb and strict batches (see invariant_stage.hpp).
-  if (config_.invariant_stage && !alg_.has_ads() &&
-      config_.batch_mode == BatchMode::kStrict && q_.num_edges() > 0)
-    invariant_ =
-        std::make_unique<InvariantStage>(q_, g_, !alg_.uses_edge_labels());
+  backend_wide_ = make_batch_backend(BatchBackendKind::kWide, bind);
 }
 
 BatchBackend& ParaCosm::backend_for(std::size_t batch_lanes) noexcept {
@@ -42,9 +45,11 @@ BatchBackend& ParaCosm::backend_for(std::size_t batch_lanes) noexcept {
     case BatchBackendKind::kWide: return *backend_wide_;
     case BatchBackendKind::kAuto: break;
   }
+  // A single lane needs no gather: the cpu backend classifies it inline,
+  // without a pool dispatch, at any pool size.
+  if (batch_lanes <= 1) return *backend_cpu_;
   if (runtime_.pool.size() <= 1) return *backend_wide_;
-  return batch_lanes <= tuning_.wide_auto_cutoff() ? *backend_wide_
-                                                   : *backend_cpu_;
+  return batch_lanes <= kWideAutoCutoff ? *backend_wide_ : *backend_cpu_;
 }
 
 csm::UpdateOutcome ParaCosm::process(const GraphUpdate& upd,
@@ -66,13 +71,8 @@ csm::UpdateOutcome ParaCosm::process_into(const GraphUpdate& upd,
     case UpdateOp::kInsertVertex: {
       csm::UpdateOutcome out;
       const bool existed = g_.has_vertex(upd.u);
-      const bool relabel = existed && g_.label(upd.u) != upd.label;
       g_.add_vertex_with_id(upd.u, upd.label);
       if (!existed) alg_.on_vertex_added(upd.u);
-      // A relabel shifts every incident edge to a different label triple;
-      // vertex ops are rare in CSM streams, so an O(E) rebuild is cheaper
-      // than threading old-label deltas through the graph call.
-      if (invariant_ && relabel) invariant_->rebuild(g_);
       out.applied = true;
       return out;
     }
@@ -105,11 +105,6 @@ csm::UpdateOutcome ParaCosm::process_edge(const GraphUpdate& upd,
   csm::UpdateOutcome out;
   const bool insert = upd.op == UpdateOp::kInsertEdge;
 
-  // Forward the epoch-published SPLIT_DEPTH before the search starts; the
-  // executor reads it only between run() calls (single-threaded caller).
-  const std::uint32_t sd = tuning_.split_depth();
-  runtime_.inner.set_split_depth(sd);
-
   const auto explore = [&](const std::vector<csm::SearchTask>& roots)
       -> std::pair<std::uint64_t, std::uint64_t> {
     if (roots.empty()) return {0, 0};
@@ -140,8 +135,6 @@ csm::UpdateOutcome ParaCosm::process_edge(const GraphUpdate& upd,
   if (insert) {
     util::ThreadCpuTimer serial;
     if (!g_.add_edge(upd.u, upd.v, upd.label)) return out;
-    if (invariant_)
-      invariant_->on_edge(g_.label(upd.u), g_.label(upd.v), upd.label, +1);
     alg_.on_edge_inserted(upd);
     std::vector<csm::SearchTask> roots;
     {
@@ -172,8 +165,6 @@ csm::UpdateOutcome ParaCosm::process_edge(const GraphUpdate& upd,
     out.negative = matches;
     out.nodes = nodes;
     util::ThreadCpuTimer serial2;
-    if (invariant_)
-      invariant_->on_edge(g_.label(upd.u), g_.label(upd.v), del.label, -1);
     g_.remove_edge(upd.u, upd.v);
     alg_.on_edge_removed(del);
     out.applied = true;
@@ -214,28 +205,22 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
   }
 
   // Per-stream backend accounting: reset here, snapshot into the result at
-  // the end (conservation: cpu.batches + wide.batches +
-  // invariant.batches_certified == result.batches).
+  // the end (conservation: cpu.batches + wide.batches == result.batches).
   backend_cpu_->reset_stats();
   backend_wide_->reset_stats();
 
-  const unsigned nthreads = runtime_.pool.size();
   std::size_t i = 0;
   std::vector<UpdateClass> verdicts;
-  result.stats.ensure_size(nthreads);
+  result.stats.ensure_size(runtime_.pool.size());
+  const unsigned k = std::max(1u, config_.effective_batch_size());
 
   while (i < stream.size()) {
     if (expired()) {
       result.timed_out = true;
       break;
     }
-    // Batch cut is re-read every batch from the epoch-published TuningView,
-    // so a control-plane (or test) mutation takes effect at the next batch
-    // boundary rather than being baked in at construction.
-    const unsigned k = std::max(1u, tuning_.effective_batch_size(nthreads));
     const std::size_t count = std::min<std::size_t>(k, stream.size() - i);
     ++result.batches;
-    util::WallTimer batch_timer;
 #if defined(PARACOSM_TRACE_ENABLED)
     // The batch span covers classify + safe-apply (phases 1–2b) and is
     // recorded *before* the sequential unsafe update of phase 2c runs, so a
@@ -252,31 +237,8 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
     // byte-identical verdicts (the wide path self-diffs per batch under
     // PARACOSM_VERIFY).
     verdicts.assign(count, UpdateClass::kUnsafe);
-    bool certified = false;
-    bool used_wide = false;
-    if (invariant_) {
-      std::size_t inserts = 0;
-      for (std::size_t j = 0; j < count; ++j)
-        if (stream[i + j].op == UpdateOp::kInsertEdge) ++inserts;
-      ++result.invariant.batches_checked;
-      certified = invariant_->certify_batch(inserts);
-    }
-    if (certified) {
-      // Phase 1' — the aggregate invariant proved the whole batch match-free
-      // under any interleaving, so every *effective* edge update is safe
-      // without per-lane classification. Ineffective lanes (no-ops, vertex
-      // ops) still route through the sequential path as usual.
-      ++result.invariant.batches_certified;
-      std::size_t lanes = 0;
-      for (std::size_t j = 0; j < count; ++j)
-        if (classifier_.effective_update(stream[i + j]))
-          verdicts[j] = UpdateClass::kSafeInvariant, ++lanes;
-      PARACOSM_TRACE_INSTANT(obs::EventKind::kInvariantCert, lanes, count);
-    } else {
-      BatchBackend& be = backend_for(count);
-      used_wide = &be == backend_wide_.get();
-      be.classify_batch(stream.subspan(i, count), verdicts, result.stats);
-    }
+    BatchBackend& backend = backend_for(count);
+    backend.classify_batch(stream.subspan(i, count), verdicts, result.stats);
 
     // Phase 2a — commit plan (cheap, sequential): the safe prefix up to the
     // first unsafe update (Figure 6) or, in strict mode, the first update
@@ -309,25 +271,7 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
         case UpdateClass::kSafeLabel: ++result.classifier.safe_label; break;
         case UpdateClass::kSafeDegree: ++result.classifier.safe_degree; break;
         case UpdateClass::kSafeAds: ++result.classifier.safe_ads; break;
-        case UpdateClass::kSafeInvariant:
-          ++result.classifier.safe_invariant;
-          ++result.invariant.lanes_certified;
-          break;
         case UpdateClass::kUnsafe: ++result.classifier.unsafe_updates; break;
-      }
-    }
-
-    // Invariant maintenance for the parallel apply (which bypasses
-    // process_edge): walk the safe prefix sequentially while the graph is
-    // still at the batch-start snapshot — delete labels resolve exactly, and
-    // the strict-mode endpoint rule guarantees each prefix lane is an
-    // effective op on a distinct edge, so the pass is exact.
-    if (invariant_ && safe_prefix > 0) {
-      for (std::size_t j = 0; j < safe_prefix; ++j) {
-        const auto eff = classifier_.effective_update(stream[i + j]);
-        if (!eff) continue;  // unreachable for a safe verdict; stay robust
-        invariant_->on_edge(g_.label(eff->u), g_.label(eff->v), eff->label,
-                            eff->op == UpdateOp::kInsertEdge ? +1 : -1);
       }
     }
 
@@ -347,8 +291,7 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
       // where workers mutate counter caches concurrently.
       const std::uint64_t verify_ads_before = alg_.ads_checksum();
 #endif
-      backend_for(count).apply_safe_prefix(stream.subspan(i, safe_prefix),
-                                           result.stats);
+      backend.apply_safe_prefix(stream.subspan(i, safe_prefix), result.stats);
 #ifdef PARACOSM_VERIFY
       if (alg_.ads_checksum() != verify_ads_before)
         throw std::logic_error(
@@ -364,49 +307,15 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
                           result.batches - 1, count, safe_prefix);
 #endif
     i += safe_prefix;
-    // Classify + safe-apply cost, sampled before the sequential phase so the
-    // control plane can attribute it separately from search time.
-    const std::int64_t classify_ns = batch_timer.elapsed_ns();
 
     // Phase 2c — the unsafe update runs sequentially (ADS) with the
     // inner-update executor searching; the batch remainder is deferred.
     if (hit_unsafe) {
       ++result.unsafe_sequential;
-      // Route through a per-update accumulator so the worker busy deltas of
-      // THIS search (not the whole stream) feed the imbalance signal.
-      ParallelStats ustats;
-      ustats.ensure_size(nthreads);
-      absorb(process_into(stream[i], deadline, cancel, ustats));
-      if (control_) {
-        control::SearchSample ss;
-        ss.workers = nthreads;
-        for (const WorkerStats& w : ustats.workers) ss.tasks += w.tasks;
-        ss.offloads = ustats.total_offloads();
-        ss.steals_local = ustats.total_steals_local();
-        ss.steals_same_node = ustats.total_steals_same_node();
-        ss.steals_remote = ustats.total_steals_remote();
-        ss.max_busy_ns = ustats.max_worker_ns();
-        ss.total_busy_ns = ustats.total_worker_ns();
-        control_->on_search(ss);
-      }
-      result.stats.merge(ustats);
+      absorb(process_into(stream[i], deadline, cancel, result.stats));
       ++result.updates_processed;
       ++i;
       result.deferred_after_unsafe += count - safe_prefix - 1;
-    }
-
-    const std::int64_t batch_ns = batch_timer.elapsed_ns();
-    result.batch_latency.record(batch_ns);
-    if (control_) {
-      control::BatchSample bs;
-      bs.lanes = static_cast<std::uint32_t>(count);
-      bs.safe_prefix = static_cast<std::uint32_t>(safe_prefix);
-      bs.hit_unsafe = hit_unsafe;
-      bs.certified = certified;
-      bs.wide_backend = used_wide;
-      bs.classify_ns = classify_ns;
-      bs.batch_ns = batch_ns;
-      control_->on_batch(bs);
     }
   }
 

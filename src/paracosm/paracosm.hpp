@@ -14,15 +14,11 @@
 #include <memory>
 #include <span>
 
-#include "control/control_plane.hpp"
-#include "control/tuning.hpp"
 #include "csm/engine.hpp"
-#include "obs/histogram.hpp"
 #include "paracosm/batch_backend.hpp"
 #include "paracosm/classifier.hpp"
 #include "paracosm/config.hpp"
 #include "paracosm/inner_executor.hpp"
-#include "paracosm/invariant_stage.hpp"
 #include "paracosm/worker_pool.hpp"
 #include "util/sync.hpp"
 
@@ -46,22 +42,13 @@ struct StreamResult {
   std::uint64_t deferred_conflicts = 0;  ///< strict mode only
 
   /// Per-backend classification counters for this stream (DESIGN.md §11).
-  /// In inter-parallel mode backend_cpu.batches + backend_wide.batches +
-  /// invariant.batches_certified == batches — every batch is classified by
-  /// exactly one backend unless the aggregate invariant certified it whole.
+  /// In inter-parallel mode backend_cpu.batches + backend_wide.batches ==
+  /// batches — every batch is classified by exactly one backend.
   BatchBackendStats backend_cpu;
   BatchBackendStats backend_wide;
 
-  /// Aggregate-invariant certifier counters (Config::invariant_stage).
-  InvariantStats invariant;
-
   ParallelStats stats;
   std::int64_t wall_ns = 0;
-
-  /// Per-batch wall-time distribution (inter-parallel mode only): one sample
-  /// per batch covering classify + safe-apply + the sequential unsafe update.
-  /// Feeds the adaptive ablation's p99 and the control plane's epoch signals.
-  obs::Histogram batch_latency;
 
   [[nodiscard]] std::uint64_t delta_matches() const noexcept {
     return positive + negative;
@@ -93,28 +80,6 @@ class ParaCosm {
   [[nodiscard]] csm::CsmAlgorithm& algorithm() noexcept { return alg_; }
   [[nodiscard]] graph::DataGraph& graph() noexcept { return g_; }
 
-  /// The epoch-published view of the adaptable knobs (split depth, batch
-  /// cut, wide cutoff). Seeded from Config at construction; mutations take
-  /// effect at the next batch boundary / parallel search — this is the only
-  /// supported way to retune a live engine (DESIGN.md §13.2).
-  [[nodiscard]] control::TuningView& tuning() noexcept { return tuning_; }
-  [[nodiscard]] const control::TuningView& tuning() const noexcept {
-    return tuning_;
-  }
-
-  /// Attach a feedback-control plane built over this engine's tuning():
-  /// process_stream posts per-batch and per-search signal samples to it.
-  /// The plane must outlive the attachment; pass nullptr to detach.
-  void attach_control(control::ControlPlane* plane) noexcept {
-    control_ = plane;
-  }
-
-  /// The aggregate-invariant certifier, nullptr unless Config::
-  /// invariant_stage engaged it (index-free algorithm, strict mode).
-  [[nodiscard]] const InvariantStage* invariant_stage() const noexcept {
-    return invariant_.get();
-  }
-
   /// Stats accumulated by process() calls made outside process_stream().
   [[nodiscard]] const ParallelStats& accumulated_stats() const noexcept {
     return loose_stats_;
@@ -139,21 +104,18 @@ class ParaCosm {
                                   util::Clock::time_point deadline,
                                   util::CancelView cancel, ParallelStats& stats);
   /// The backend one batch routes through (Config::batch_backend; kAuto
-  /// picks per batch size against Config::wide_auto_cutoff).
+  /// picks per batch size, see BatchBackendKind::kAuto).
   [[nodiscard]] BatchBackend& backend_for(std::size_t batch_lanes) noexcept;
 
   csm::CsmAlgorithm& alg_;
   const graph::QueryGraph& q_;
   graph::DataGraph& g_;
   Config config_;
-  control::TuningView tuning_;
   InnerRuntime runtime_;
   UpdateClassifier classifier_;
   util::StripedLocks<64> locks_;
   std::unique_ptr<BatchBackend> backend_cpu_;
   std::unique_ptr<BatchBackend> backend_wide_;
-  std::unique_ptr<InvariantStage> invariant_;
-  control::ControlPlane* control_ = nullptr;
   ParallelStats loose_stats_;
   std::function<void(std::span<const csm::Assignment>)> on_match_;
 };

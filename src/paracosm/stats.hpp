@@ -284,12 +284,10 @@ struct ClassifierStats {
   std::uint64_t safe_label = 0;   ///< filtered by stage 1 (label)
   std::uint64_t safe_degree = 0;  ///< filtered by stage 2 (degree)
   std::uint64_t safe_ads = 0;     ///< filtered by stage 3 (candidate/ADS)
-  std::uint64_t safe_invariant = 0;  ///< certified by the pre-ADS aggregate
-                                     ///< invariant (invariant_stage.hpp)
   std::uint64_t unsafe_updates = 0;
 
   [[nodiscard]] std::uint64_t safe() const noexcept {
-    return safe_label + safe_degree + safe_ads + safe_invariant;
+    return safe_label + safe_degree + safe_ads;
   }
   [[nodiscard]] double unsafe_percent() const noexcept {
     return total == 0 ? 0.0
@@ -302,7 +300,6 @@ struct ClassifierStats {
     safe_label += other.safe_label;
     safe_degree += other.safe_degree;
     safe_ads += other.safe_ads;
-    safe_invariant += other.safe_invariant;
     unsafe_updates += other.unsafe_updates;
   }
 };

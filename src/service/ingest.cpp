@@ -107,18 +107,10 @@ std::size_t IngestQueue::approx_size() const noexcept {
 PushResult IngestQueue::push(const graph::GraphUpdate& upd) {
   if (closed()) return PushResult::kClosed;
   IngestItem item{upd, false};
-  // Early-degrade watermark (adaptive admission): demote before the ring is
-  // hard-full so the consumer sheds delivery cost while latency is climbing,
-  // not after the queue has already saturated.
-  if (policy_ == OverloadPolicy::kDegrade) {
-    const std::size_t wm = degrade_watermark_.load(std::memory_order_relaxed);
-    if (wm != 0 && approx_size() >= wm) item.degraded = true;
-  }
   if (try_push(item)) {
     enqueued_.fetch_add(1, std::memory_order_relaxed);
-    if (item.degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
     note_depth();
-    return item.degraded ? PushResult::kDegraded : PushResult::kOk;
+    return PushResult::kOk;
   }
 
   // Full ring: the overload edge.

@@ -81,19 +81,6 @@ class IngestQueue {
   [[nodiscard]] std::size_t capacity() const noexcept { return cells_.size(); }
   [[nodiscard]] std::size_t approx_size() const noexcept;
 
-  /// Adaptive early-degrade threshold (DESIGN.md §13): under kDegrade a push
-  /// is demoted to count-only as soon as the queue depth reaches the
-  /// watermark, not only at the hard full-ring edge. 0 (the default) or
-  /// >= capacity restores the static behaviour. Relaxed atomic — the
-  /// admission controller republishes it from the consumer thread while
-  /// producers read it.
-  void set_degrade_watermark(std::size_t wm) noexcept {
-    degrade_watermark_.store(wm, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t degrade_watermark() const noexcept {
-    return degrade_watermark_.load(std::memory_order_relaxed);
-  }
-
   /// Consistent-enough snapshot of the producer/consumer counters.
   [[nodiscard]] engine::IngestStats stats() const;
 
@@ -110,7 +97,6 @@ class IngestQueue {
   std::size_t mask_;
   OverloadPolicy policy_;
   std::atomic<bool> closed_{false};
-  std::atomic<std::size_t> degrade_watermark_{0};
 
   alignas(64) std::atomic<std::size_t> enqueue_pos_{0};
   alignas(64) std::atomic<std::size_t> dequeue_pos_{0};

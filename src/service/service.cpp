@@ -95,12 +95,6 @@ StreamService::StreamService(engine::ParaCosm& engine, ServiceOptions opts,
     seq_ = wal_->next_seq();
   }
   if (budget_ns_ > 0) watchdog_.emplace();
-  if (opts_.adaptive && opts_.control_every > 0) {
-    control::AdmissionOptions aopts;
-    aopts.p99_target_ns = opts_.p99_target_us * 1000;
-    admission_.emplace(static_cast<std::uint32_t>(queue_.capacity()), aopts);
-    queue_.set_degrade_watermark(admission_->watermark());
-  }
   // The engine-side observer is installed once; `deliver_` (consumer-thread
   // only) gates it off for updates degraded to count-only.
   engine_.set_match_callback([this](std::span<const csm::Assignment> m) {
@@ -238,39 +232,15 @@ void StreamService::process_one(const graph::GraphUpdate& upd, bool degraded,
   if (!out.applied) ++stats_.noop_skipped;
   positive_ += out.positive;
   negative_ += out.negative;
-  const std::int64_t latency_ns = timer.elapsed_ns();
-  latency_hist_.record(latency_ns);
-  if (admission_) window_hist_.record(latency_ns);
+  latency_hist_.record(timer.elapsed_ns());
   if (opts_.record_applied_order) applied_order_.push_back(upd);
 
-  maybe_control_tick();
   maybe_snapshot();
   maybe_flush_metrics();
 
   if (on_done_)
     on_done_(UpdateDone{seq, out.applied, out.cancelled || out.timed_out,
                         out.positive, out.negative});
-}
-
-void StreamService::maybe_control_tick() {
-  if (!admission_) return;
-  if (++since_control_ < opts_.control_every) return;
-  since_control_ = 0;
-
-  const engine::IngestStats is = queue_.stats();
-  control::ServiceSample s;
-  s.queue_depth = queue_.approx_size();
-  s.queue_capacity = queue_.capacity();
-  s.degraded = is.degraded - last_degraded_;
-  s.shed = is.shed - last_shed_;
-  s.p99_ns = window_hist_.count() > 0 ? window_hist_.quantile(99.0) : 0;
-  s.target_ns = opts_.p99_target_us * 1000;
-  last_degraded_ = is.degraded;
-  last_shed_ = is.shed;
-  window_hist_ = obs::Histogram{};
-
-  const control::Decision d = admission_->step(s);
-  if (d.changed) queue_.set_degrade_watermark(d.to);
 }
 
 void StreamService::maybe_snapshot() {
@@ -352,11 +322,6 @@ ServiceReport StreamService::finish() {
     r.latency = latency_hist_;
     r.applied_order = std::move(applied_order_);
     r.error = error_;
-    if (admission_) {
-      r.control = admission_->stats();
-      r.control_decisions = admission_->decisions();
-      r.degrade_watermark = queue_.degrade_watermark();
-    }
   }
   return r;
 }

@@ -39,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "control/control_plane.hpp"
 #include "obs/histogram.hpp"
 #include "paracosm/paracosm.hpp"
 #include "service/fault.hpp"
@@ -141,15 +140,6 @@ struct ServiceOptions {
   /// or 0 disables.
   std::string metrics_path;
   std::uint64_t metrics_every = 0;
-
-  /// Adaptive admission control (DESIGN.md §13): an AdmissionController over
-  /// the ingest degrade watermark, stepped every `control_every` processed
-  /// updates against that window's p99 latency and the live queue depth.
-  /// Only changes observable behaviour under OverloadPolicy::kDegrade (the
-  /// watermark is a degrade threshold); ΔM counts stay exact regardless.
-  bool adaptive = false;
-  std::int64_t p99_target_us = 5000;  ///< latency target fed to the controller
-  std::uint64_t control_every = 64;   ///< updates per control window
 };
 
 struct ServiceReport {
@@ -164,12 +154,6 @@ struct ServiceReport {
   obs::Histogram latency;
   std::vector<graph::GraphUpdate> applied_order;  ///< see record_applied_order
   std::string error;  ///< non-empty if the consumer died (e.g. WAL I/O)
-
-  /// Adaptive-admission outcome (ServiceOptions::adaptive): controller
-  /// counters, its decision log, and the final degrade watermark.
-  control::ControlStats control;
-  std::vector<control::DecisionRecord> control_decisions;
-  std::uint64_t degrade_watermark = 0;
 };
 
 /// Completion summary of one processed update, delivered on the consumer
@@ -225,7 +209,6 @@ class StreamService {
   void process_one(const graph::GraphUpdate& upd, bool degraded, bool deferred);
   void retry_deferred();
   [[nodiscard]] bool pop_deferred(graph::GraphUpdate& out);
-  void maybe_control_tick();
   void maybe_snapshot();
   void maybe_flush_metrics();
   void flush_metrics();
@@ -250,13 +233,6 @@ class StreamService {
   std::uint64_t since_snapshot_ = 0;
   std::uint64_t since_metrics_ = 0;
   bool deliver_ = true;    ///< false while processing a degraded update
-  // Adaptive admission (consumer thread): per-window latency histogram and
-  // the last-seen overflow counters, reset/advanced at each control tick.
-  std::optional<control::AdmissionController> admission_;
-  obs::Histogram window_hist_;
-  std::uint64_t since_control_ = 0;
-  std::uint64_t last_degraded_ = 0;
-  std::uint64_t last_shed_ = 0;
   engine::ServiceStats stats_;
   std::uint64_t positive_ = 0;
   std::uint64_t negative_ = 0;

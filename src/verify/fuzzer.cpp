@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "control/control_plane.hpp"
 #include "graph/generators.hpp"
 #include "paracosm/paracosm.hpp"
 #include "util/rng.hpp"
@@ -185,18 +184,11 @@ std::vector<LaneConfig> default_lane_matrix(const std::vector<unsigned>& threads
   return lanes;
 }
 
-std::vector<LaneConfig> backend_lane_matrix() {
-  std::vector<LaneConfig> lanes = default_lane_matrix();
-  for (const unsigned t : {1u, 2u, 4u, 8u})
-    lanes.push_back({Lane::kBatch, t, engine::BatchBackendKind::kWide});
-  return lanes;
-}
-
-std::vector<LaneConfig> control_lane_matrix() {
-  std::vector<LaneConfig> lanes = default_lane_matrix();
-  for (const unsigned t : {1u, 2u, 4u, 8u})
-    lanes.push_back(
-        {Lane::kBatch, t, engine::BatchBackendKind::kAuto, /*adaptive=*/true});
+std::vector<LaneConfig> backend_lane_matrix(const std::vector<unsigned>& threads) {
+  std::vector<LaneConfig> lanes = default_lane_matrix(threads);
+  for (const engine::BatchBackendKind kind :
+       {engine::BatchBackendKind::kWide, engine::BatchBackendKind::kAuto})
+    for (const unsigned t : threads) lanes.push_back({Lane::kBatch, t, kind});
   return lanes;
 }
 
@@ -206,7 +198,6 @@ std::string Divergence::to_string() const {
      << " threads=" << threads;
   if (lane == Lane::kBatch && backend != engine::BatchBackendKind::kCpu)
     os << " backend=" << engine::batch_backend_name(backend);
-  if (adaptive) os << " adaptive";
   if (scheduler != engine::Scheduler::kCentralQueue)
     os << " scheduler=" << engine::scheduler_name(scheduler);
   os << " query=" << query_index;
@@ -294,34 +285,15 @@ engine::Config lane_engine_config(const LaneConfig& lane) {
   // processing — the only mode a divergence is a bug in (kPaper may
   // legitimately act on stale snapshot verdicts).
   cfg.batch_mode = engine::BatchMode::kStrict;
-  // kCpu/kWide pin every batch to one backend so a static-lane divergence
-  // always names the backend that produced it; adaptive cells deliberately
-  // run kAuto with the controller moving the cutoff under the router.
+  // kCpu/kWide pin every batch to one backend so a divergence names the
+  // backend that produced it; kAuto cells mix both per batch size.
   cfg.batch_backend = lane.backend;
   cfg.scheduler = lane.scheduler;
-  if (lane.adaptive) cfg.invariant_stage = true;
   // The verification matrix oversubscribes a single machine with up to 8
   // worker threads; park immediately instead of spinning for throughput.
   cfg.queue_spin_iters = 1;
   cfg.pool_spin_iters = 1;
   return cfg;
-}
-
-/// Adaptive-cell control policy: decide every single batch (epoch_batches=1,
-/// zero cooldowns) with a hysteresis band squeezed to [0.45, 0.55] so nearly
-/// every epoch moves a knob, across tight ranges that keep the knobs inside
-/// the regimes the small fuzz cases actually exercise. The point is maximum
-/// schedule churn — retune between every batch — while the oracle pins ΔM.
-control::ControlPlaneOptions fuzz_control_options() {
-  control::ControlPlaneOptions o;
-  o.epoch_batches = 1;
-  o.batch_policy = {0.45, 0.55, 1, 16, 0, 2, 2.0, 0.25};
-  o.split_policy = {0.45, 0.55, 0, 6, 0, 1, 1.0, 0.5};
-  o.wide_policy = {0.45, 0.55, 0, 64, 0, 8, 1.5, 0.5};
-  // Fuzz searches are micro-sized; disable the work floor so the raw
-  // imbalance signal keeps the split knob churning through the whole range.
-  o.min_search_busy_ns = 0;
-  return o;
 }
 
 }  // namespace
@@ -370,7 +342,6 @@ std::optional<Divergence> check_cell(const FuzzCase& c, std::string_view algorit
   div.lane = lane.lane;
   div.threads = lane.threads;
   div.backend = lane.backend;
-  div.adaptive = lane.adaptive;
   div.scheduler = lane.scheduler;
   div.query_index = query_index;
 
@@ -379,14 +350,6 @@ std::optional<Divergence> check_cell(const FuzzCase& c, std::string_view algorit
       [&rec](std::span<const Assignment> m) { rec.observe(m); });
 
   if (lane.lane == Lane::kBatch) {
-    // Adaptive cells: a control plane over this engine's TuningView, stepping
-    // once per batch. It must outlive process_stream (the engine posts
-    // samples into it from the consumer thread).
-    std::optional<control::ControlPlane> plane;
-    if (lane.adaptive) {
-      plane.emplace(pc->tuning(), fuzz_control_options());
-      pc->attach_control(&*plane);
-    }
     const engine::StreamResult res = pc->process_stream(c.stream);
     if (auto err =
             rec.reconcile_stream(trace, res.positive, res.negative, mappings)) {

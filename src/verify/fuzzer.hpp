@@ -89,14 +89,6 @@ struct LaneConfig {
   /// The differential `--backend` sweep runs each batch cell once per
   /// backend and demands identical ΔM from both (DESIGN.md §11).
   engine::BatchBackendKind backend = engine::BatchBackendKind::kCpu;
-  /// Adaptive batch cells (kBatch lanes only): the engine runs with the
-  /// invariant stage on, the kAuto backend router, and an attached
-  /// ControlPlane tuned to decide as often as possible (one batch per
-  /// epoch, zero cooldowns, tight knob ranges). The cell must still
-  /// reconcile byte-identical ΔM against the same oracle trace as its
-  /// static siblings — the correctness-invariance contract of DESIGN.md
-  /// §13: tuning changes when/how work happens, never what is computed.
-  bool adaptive = false;
   /// Inner-update scheduler (kInner and kBatch lanes; DESIGN.md §4).
   engine::Scheduler scheduler = engine::Scheduler::kCentralQueue;
 };
@@ -107,18 +99,13 @@ struct LaneConfig {
 [[nodiscard]] std::vector<LaneConfig> default_lane_matrix(
     const std::vector<unsigned>& threads = {1, 2, 4, 8});
 
-/// The default matrix with every batch cell doubled: once on the cpu
-/// backend, once on the wide (AVX2/SWAR) backend. Both cells reconcile
-/// against the same oracle trace, so a verdict divergence between backends
-/// surfaces as a ΔM divergence in exactly one of them.
-[[nodiscard]] std::vector<LaneConfig> backend_lane_matrix();
-
-/// The default matrix plus an adaptive twin of every batch cell: while the
-/// static cell pins all knobs, the twin retunes split depth, batch cut and
-/// the backend cutoff every single batch. Both reconcile against the same
-/// oracle trace, so any controller decision that changes *results* (not just
-/// schedule) surfaces as a ΔM divergence in the adaptive cell.
-[[nodiscard]] std::vector<LaneConfig> control_lane_matrix();
+/// The default matrix with every batch cell tripled: once on the cpu
+/// backend, once on the wide (AVX2/SWAR) backend, once under kAuto's
+/// per-batch cpu/wide routing. All cells reconcile against the same oracle
+/// trace, so a verdict divergence between backends surfaces as a ΔM
+/// divergence in exactly the cells that ran the faulty one.
+[[nodiscard]] std::vector<LaneConfig> backend_lane_matrix(
+    const std::vector<unsigned>& threads = {1, 2, 4, 8});
 
 /// One reconciliation failure, with everything needed to reproduce it.
 struct Divergence {
@@ -127,7 +114,6 @@ struct Divergence {
   Lane lane = Lane::kSequential;
   unsigned threads = 1;
   engine::BatchBackendKind backend = engine::BatchBackendKind::kCpu;
-  bool adaptive = false;
   engine::Scheduler scheduler = engine::Scheduler::kCentralQueue;
   std::uint32_t query_index = 0;
   /// Update at which the divergence was detected (per-update lanes only;
@@ -138,7 +124,7 @@ struct Divergence {
   [[nodiscard]] std::string to_string() const;
   /// The cell that diverged, for re-running it.
   [[nodiscard]] LaneConfig lane_config() const {
-    return {lane, threads, backend, adaptive, scheduler};
+    return {lane, threads, backend, scheduler};
   }
 };
 

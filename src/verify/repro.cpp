@@ -30,7 +30,6 @@ void save_repro(const Repro& r, std::ostream& out) {
     out << "meta threads " << r.cell->threads << '\n';
     if (r.cell->backend != engine::BatchBackendKind::kCpu)
       out << "meta backend " << engine::batch_backend_name(r.cell->backend) << '\n';
-    if (r.cell->adaptive) out << "meta adaptive 1\n";
     if (r.cell->scheduler != engine::Scheduler::kCentralQueue)
       out << "meta scheduler " << engine::scheduler_name(r.cell->scheduler) << '\n';
     out << "meta query " << r.cell->query_index << '\n';
@@ -99,10 +98,6 @@ Repro load_repro(std::istream& in) {
       const auto kind = engine::parse_batch_backend(name);
       if (!kind) throw std::runtime_error("repro: unknown backend '" + name + "'");
       cell.backend = *kind;
-    } else if (key == "adaptive") {
-      int flag = 0;
-      ls >> flag;
-      cell.adaptive = flag != 0;
     } else if (key == "scheduler") {
       std::string name;
       ls >> name;

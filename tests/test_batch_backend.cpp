@@ -5,8 +5,9 @@
 // match-buffer merge — to the cpu backend, on every thread count and on
 // both instruction paths. The tests pin:
 //
-//   * ΔM equality across {cpu, wide} × {1,2,4,8} threads, full mapping
-//     granularity (not just totals);
+//   * ΔM equality across {cpu, wide, auto} × {1,2,4,8} threads, full
+//     mapping granularity (not just totals);
+//   * kAuto's routing of single-lane batches to the cpu backend;
 //   * per-backend counter conservation (lanes == verdict sum, every wide
 //     lane accounted to exactly one resolution counter);
 //   * edge cases: empty batch, single-edge stream, all-unsafe batch;
@@ -46,7 +47,8 @@ struct RunCapture {
 };
 
 RunCapture run_stream(const SmallWorkload& wl, const char* algorithm,
-                      BatchBackendKind kind, unsigned threads) {
+                      BatchBackendKind kind, unsigned threads,
+                      unsigned batch_size = 0) {
   RunCapture cap;
   auto alg = csm::make_algorithm(algorithm);
   if (!alg) {
@@ -56,6 +58,7 @@ RunCapture run_stream(const SmallWorkload& wl, const char* algorithm,
   DataGraph g = wl.graph;
   Config cfg;
   cfg.threads = threads;
+  cfg.batch_size = batch_size;
   cfg.batch_backend = kind;
   cfg.batch_mode = BatchMode::kStrict;
   cfg.queue_spin_iters = 1;
@@ -129,6 +132,23 @@ TEST_P(BackendEquivalence, DeltaMIdenticalAcrossBackendsAndThreads) {
         EXPECT_EQ(got.result.backend_cpu.batches, 0u);
       }
     }
+  }
+}
+
+// kAuto routes a one-lane batch to the cpu backend at every pool size: one
+// lane is classified inline, so the wide gather would be pure overhead.
+TEST(BackendRouting, AutoSendsSingleLaneBatchesToCpu) {
+  const SmallWorkload wl = make_workload(7, 36, 90, 3, 2, 4);
+  ASSERT_FALSE(wl.stream.empty());
+  const RunCapture ref = run_stream(wl, "graphflow", BatchBackendKind::kCpu, 1);
+  for (const unsigned threads : {1u, 4u}) {
+    const RunCapture got = run_stream(wl, "graphflow", BatchBackendKind::kAuto,
+                                      threads, /*batch_size=*/1);
+    EXPECT_GT(got.result.batches, 0u) << "threads=" << threads;
+    EXPECT_EQ(got.result.backend_wide.batches, 0u) << "threads=" << threads;
+    EXPECT_EQ(got.result.backend_cpu.batches, got.result.batches)
+        << "threads=" << threads;
+    EXPECT_EQ(got.flat, ref.flat) << "threads=" << threads;
   }
 }
 

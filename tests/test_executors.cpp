@@ -280,11 +280,13 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ExecCase>& info) {
       // "dyn": Algorithm 2's dynamic re-splitting on the central queue.
       const Scheduler s = info.param.scheduler;
-      return "t" + std::to_string(info.param.threads) + "_d" +
-             std::to_string(info.param.split_depth) +
-             (s == Scheduler::kCentralQueue
-                  ? "_dyn"
-                  : "_" + std::string(scheduler_name(s)));
+      std::string name = "t";
+      name += std::to_string(info.param.threads);
+      name += "_d";
+      name += std::to_string(info.param.split_depth);
+      name += '_';
+      name += s == Scheduler::kCentralQueue ? "dyn" : scheduler_name(s);
+      return name;
     });
 
 // The work-stealing executor is InnerExecutor's kWorkStealing scheduler.

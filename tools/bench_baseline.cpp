@@ -23,7 +23,6 @@
 #include "bench_common/workload.hpp"
 #include "bench_common/reporting.hpp"
 #include "bench_common/runner.hpp"
-#include "control/control_plane.hpp"
 #include "csm/scratch.hpp"
 #include "graph/generators.hpp"
 #include "graph/nlf_signature.hpp"
@@ -391,58 +390,6 @@ MultiQueryResult run_multi_query(double scale, std::uint32_t queries,
   return out;
 }
 
-/// Adaptive-control lane (--adaptive, DESIGN.md §13): the generated stream
-/// through one engine with the invariant stage engaged and an attached
-/// ControlPlane retuning the knobs per epoch. The decision trail, aggregate
-/// controller stats and final knob values land in the JSON, so controller
-/// behaviour drift (oscillation, runaway growth, dead controllers) shows up
-/// as an artifact diff like any other regression.
-struct ControlResult {
-  bool enabled = false;
-  std::uint64_t updates = 0;
-  double wall_ms = 0;
-  std::uint64_t delta_matches = 0;
-  std::uint32_t final_batch = 0;
-  std::uint32_t final_split = 0;
-  std::uint32_t final_cutoff = 0;
-  std::uint64_t epochs = 0;
-  control::ControlStats stats;
-  std::vector<control::DecisionRecord> decisions;
-  engine::InvariantStats invariant;
-};
-
-ControlResult run_control(double scale, std::int64_t stream_cap,
-                          std::uint64_t seed) {
-  bench::Workload wl =
-      bench::build_workload(graph::livejournal_spec(scale), 6, 1, 0.10, seed);
-  if (stream_cap > 0 && wl.stream.size() > static_cast<std::size_t>(stream_cap))
-    wl.stream.resize(static_cast<std::size_t>(stream_cap));
-  ControlResult out;
-  out.enabled = true;
-  if (wl.queries.empty()) return out;
-  out.updates = wl.stream.size();
-  auto alg = csm::make_algorithm("graphflow");
-  graph::DataGraph g = wl.graph;
-  engine::Config cfg;
-  cfg.threads = 4;
-  cfg.invariant_stage = true;
-  engine::ParaCosm pc(*alg, wl.queries.front(), g, cfg);
-  control::ControlPlane plane(pc.tuning());
-  pc.attach_control(&plane);
-  const util::WallTimer timer;
-  const engine::StreamResult r = pc.process_stream(wl.stream);
-  out.wall_ms = timer.elapsed_ms();
-  out.delta_matches = r.delta_matches();
-  out.final_batch = pc.tuning().batch_size();
-  out.final_split = pc.tuning().split_depth();
-  out.final_cutoff = pc.tuning().wide_auto_cutoff();
-  out.epochs = plane.epoch();
-  out.stats = plane.stats();
-  out.decisions = plane.decisions();
-  out.invariant = r.invariant;
-  return out;
-}
-
 void write_service_lane_json(std::FILE* f, const char* name,
                              const ServiceLane& lane, bool last) {
   const auto& s = lane.stats;
@@ -498,8 +445,8 @@ void write_backend_lane_json(std::FILE* f, const char* name,
 void write_json(const std::string& path, const std::vector<MicroResult>& micro,
                 const std::vector<MacroResult>& macro, const SchedulerResult& sched,
                 const BackendResult& backend, const ServiceResult& svc,
-                const MultiQueryResult& multi, const ControlResult& ctl,
-                double scale, std::uint32_t queries, std::int64_t stream_cap,
+                const MultiQueryResult& multi, double scale,
+                std::uint32_t queries, std::int64_t stream_cap,
                 std::uint64_t seed) {
   const std::filesystem::path parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) {
@@ -585,43 +532,6 @@ void write_json(const std::string& path, const std::vector<MicroResult>& micro,
   std::fprintf(f, "    \"armed_overhead_pct\": %.2f\n",
                base > 0 ? (svc.armed.wall_ms - base) / base * 100.0 : 0.0);
   std::fprintf(f, "  },\n");
-  if (ctl.enabled) {
-    std::fprintf(f,
-                 "  \"control\": {\"updates\": %llu, \"wall_ms\": %.3f, "
-                 "\"delta_matches\": %llu, \"epochs\": %llu, "
-                 "\"final_knobs\": {\"batch_size\": %u, \"split_depth\": %u, "
-                 "\"wide_auto_cutoff\": %u}, "
-                 "\"stats\": {\"decisions\": %llu, \"grows\": %llu, "
-                 "\"shrinks\": %llu, \"clamped\": %llu, "
-                 "\"cooldown_suppressed\": %llu, \"in_band\": %llu}, "
-                 "\"invariant\": {\"batches_checked\": %llu, "
-                 "\"batches_certified\": %llu, \"lanes_certified\": %llu},\n",
-                 static_cast<unsigned long long>(ctl.updates), ctl.wall_ms,
-                 static_cast<unsigned long long>(ctl.delta_matches),
-                 static_cast<unsigned long long>(ctl.epochs), ctl.final_batch,
-                 ctl.final_split, ctl.final_cutoff,
-                 static_cast<unsigned long long>(ctl.stats.decisions),
-                 static_cast<unsigned long long>(ctl.stats.grows),
-                 static_cast<unsigned long long>(ctl.stats.shrinks),
-                 static_cast<unsigned long long>(ctl.stats.clamped),
-                 static_cast<unsigned long long>(ctl.stats.cooldown_suppressed),
-                 static_cast<unsigned long long>(ctl.stats.in_band),
-                 static_cast<unsigned long long>(ctl.invariant.batches_checked),
-                 static_cast<unsigned long long>(ctl.invariant.batches_certified),
-                 static_cast<unsigned long long>(ctl.invariant.lanes_certified));
-    std::fprintf(f, "    \"decisions_log\": [");
-    for (std::size_t i = 0; i < ctl.decisions.size(); ++i) {
-      const control::DecisionRecord& d = ctl.decisions[i];
-      std::fprintf(f,
-                   "%s\n      {\"epoch\": %llu, \"knob\": \"%.*s\", "
-                   "\"from\": %u, \"to\": %u}",
-                   i > 0 ? "," : "",
-                   static_cast<unsigned long long>(d.epoch),
-                   static_cast<int>(control::knob_name(d.knob).size()),
-                   control::knob_name(d.knob).data(), d.from, d.to);
-    }
-    std::fprintf(f, "%s]\n  },\n", ctl.decisions.empty() ? "" : "\n    ");
-  }
   const engine::MultiQueryStats& mq = multi.shared.res.mq;
   std::fprintf(f,
                "  \"multi_query\": {\"updates\": %llu, \"catalogue\": %zu, "
@@ -730,9 +640,6 @@ int main(int argc, char** argv) {
       .option("backend", "cpu",
               "batch classification backend for the scheduler section "
               "(cpu|wide|auto); the backend section always runs both arms")
-      .flag("adaptive",
-            "also run the stream under an attached control plane (invariant "
-            "stage on) and archive the decision trail in a \"control\" section")
       .option("seed", "42", "random seed");
   if (!cli.parse(argc, argv)) return cli.exit_code();
 
@@ -758,11 +665,8 @@ int main(int argc, char** argv) {
   const auto backend = run_backend(scale, stream_cap, seed);
   const auto svc = run_service(scale, stream_cap, seed);
   const auto multi = run_multi_query(scale, queries, stream_cap, seed);
-  const ControlResult ctl = cli.get_bool("adaptive")
-                                ? run_control(scale, stream_cap, seed)
-                                : ControlResult{};
-  write_json(cli.get("out"), micro, macro, sched, backend, svc, multi, ctl,
-             scale, queries, stream_cap, seed);
+  write_json(cli.get("out"), micro, macro, sched, backend, svc, multi, scale,
+             queries, stream_cap, seed);
   if (const std::string mpath = cli.get("metrics-out"); !mpath.empty())
     write_metrics(mpath, micro, macro, sched, backend, svc, multi);
 
@@ -806,20 +710,6 @@ int main(int argc, char** argv) {
       multi.shared.wall_ms > 0 ? multi.independent.wall_ms / multi.shared.wall_ms
                                : 0.0,
       multi.totals_match ? "match" : "MISMATCH");
-  if (ctl.enabled)
-    std::printf(
-        "control@4t:   %llu updates, %llu epochs -> %llu decisions "
-        "(g%llu/s%llu), final k=%u split=%u cutoff=%u, certified %llu/%llu "
-        "batches, dM=%llu\n",
-        static_cast<unsigned long long>(ctl.updates),
-        static_cast<unsigned long long>(ctl.epochs),
-        static_cast<unsigned long long>(ctl.stats.decisions),
-        static_cast<unsigned long long>(ctl.stats.grows),
-        static_cast<unsigned long long>(ctl.stats.shrinks), ctl.final_batch,
-        ctl.final_split, ctl.final_cutoff,
-        static_cast<unsigned long long>(ctl.invariant.batches_certified),
-        static_cast<unsigned long long>(ctl.invariant.batches_checked),
-        static_cast<unsigned long long>(ctl.delta_matches));
   std::printf("wrote %s\n", cli.get("out").c_str());
   return 0;
 }

@@ -58,31 +58,6 @@ std::vector<std::string> parse_name_list(const std::string& csv) {
   return out;
 }
 
-std::vector<verify::LaneConfig> lanes_for(const std::vector<unsigned>& threads,
-                                          bool backend_diff, bool control_diff) {
-  std::vector<verify::LaneConfig> lanes = verify::default_lane_matrix(threads);
-  if (backend_diff) {
-    // Differential backend lane: re-run every batch cell on the wide
-    // (AVX2/SWAR) backend. Both arms reconcile against the same oracle
-    // trace, so a cpu-vs-wide verdict divergence fails exactly one arm.
-    for (const unsigned t : threads)
-      lanes.push_back(
-          {verify::Lane::kBatch, t, paracosm::engine::BatchBackendKind::kWide});
-  }
-  if (control_diff) {
-    // Differential adaptive lane: re-run every batch cell with the feedback
-    // control plane retuning split depth / batch cut / backend cutoff after
-    // every batch, plus the invariant certifier engaged. Reconciles against
-    // the exact same oracle trace as the static cells — a controller that
-    // changes results (not just schedule) fails this arm (DESIGN.md §13).
-    for (const unsigned t : threads)
-      lanes.push_back({verify::Lane::kBatch, t,
-                       paracosm::engine::BatchBackendKind::kAuto,
-                       /*adaptive=*/true});
-  }
-  return lanes;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,11 +76,8 @@ int main(int argc, char** argv) {
       .flag("fault", "Inject an unsound ads_safe rule (harness self-test)")
       .flag("backend",
             "Additionally run every batch lane on the wide (AVX2/SWAR) "
-            "classification backend — the cpu-vs-wide differential sweep")
-      .flag("control",
-            "Additionally run every batch lane with an attached control "
-            "plane retuning all engine knobs per batch (invariant stage on, "
-            "kAuto backend) — the adaptive-vs-static differential sweep")
+            "classification backend and under kAuto routing — the "
+            "cpu-vs-wide differential sweep")
       .flag("invariants", "Additionally run metamorphic invariant checks")
       .flag("counts-only", "Reconcile match counts only (skip mapping multisets)")
       .flag("service",
@@ -137,8 +109,9 @@ int main(int argc, char** argv) {
   verify::CheckOptions opts;
   opts.factory = factory;
   opts.check_mappings = !cli.get_bool("counts-only");
-  opts.lanes = lanes_for(parse_thread_list(cli.get("threads")),
-                         cli.get_bool("backend"), cli.get_bool("control"));
+  const std::vector<unsigned> threads = parse_thread_list(cli.get("threads"));
+  opts.lanes = cli.get_bool("backend") ? verify::backend_lane_matrix(threads)
+                                       : verify::default_lane_matrix(threads);
   const std::vector<std::string> algo_names = parse_name_list(cli.get("algorithms"));
   if (!algo_names.empty()) {
     opts.algorithms.clear();

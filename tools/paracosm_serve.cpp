@@ -549,39 +549,9 @@ int run_sharded(const util::Cli& cli, const std::string& graph_path,
   return 0;
 }
 
-/// --control-trace: the admission controller's decision log as JSON, one
-/// record per watermark change (DESIGN.md §13). Small by construction — the
-/// controller steps once per control window, not per update.
-void write_control_trace(const std::string& path,
-                         const service::ServiceReport& r) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write --control-trace '%s'\n",
-                 path.c_str());
-    return;
-  }
-  const control::ControlStats& s = r.control;
-  out << "{\n"
-      << "  \"knob\": \"degrade_watermark\",\n"
-      << "  \"final_watermark\": " << r.degrade_watermark << ",\n"
-      << "  \"stats\": {\"epochs\": " << s.epochs
-      << ", \"decisions\": " << s.decisions << ", \"grows\": " << s.grows
-      << ", \"shrinks\": " << s.shrinks << ", \"clamped\": " << s.clamped
-      << ", \"cooldown_suppressed\": " << s.cooldown_suppressed
-      << ", \"in_band\": " << s.in_band << "},\n"
-      << "  \"decisions\": [";
-  for (std::size_t i = 0; i < r.control_decisions.size(); ++i) {
-    const control::DecisionRecord& d = r.control_decisions[i];
-    out << (i > 0 ? "," : "") << "\n    {\"epoch\": " << d.epoch
-        << ", \"knob\": \"" << control::knob_name(d.knob)
-        << "\", \"from\": " << d.from << ", \"to\": " << d.to << "}";
-  }
-  out << (r.control_decisions.empty() ? "" : "\n  ") << "]\n}\n";
-}
-
 void write_json_report(const std::string& path, const service::ServiceReport& r,
                        const bench::LatencySummary& lat, const char* algorithm,
-                       unsigned threads, const char* policy, bool adaptive) {
+                       unsigned threads, const char* policy) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "warning: cannot write --report-json '%s'\n",
@@ -612,17 +582,7 @@ void write_json_report(const std::string& path, const service::ServiceReport& r,
       << "    \"blocked_pushes\": " << s.ingest.blocked_pushes << ",\n"
       << "    \"blocked_ns\": " << s.ingest.blocked_ns << ",\n"
       << "    \"high_water\": " << s.ingest.high_water << "\n"
-      << "  },\n";
-  if (adaptive)
-    out << "  \"control\": {\"final_watermark\": " << r.degrade_watermark
-        << ", \"epochs\": " << r.control.epochs
-        << ", \"decisions\": " << r.control.decisions
-        << ", \"grows\": " << r.control.grows
-        << ", \"shrinks\": " << r.control.shrinks
-        << ", \"clamped\": " << r.control.clamped
-        << ", \"cooldown_suppressed\": " << r.control.cooldown_suppressed
-        << ", \"in_band\": " << r.control.in_band << "},\n";
-  out
+      << "  },\n"
       << "  \"latency_ns\": {\n"
       << "    \"count\": " << lat.count << ",\n"
       << "    \"mean\": " << static_cast<std::int64_t>(lat.mean_ns) << ",\n"
@@ -650,11 +610,6 @@ int main(int argc, char** argv) {
       .flag("pin", "pin workers to CPUs (topology-aware; no-op without sysfs)")
       .option("policy", "block", "overload policy: block|shed|degrade")
       .option("queue", "1024", "ingest ring capacity")
-      .flag("adaptive",
-            "adaptive admission (DESIGN.md §13): an AIMD controller retunes "
-            "the ingest degrade watermark from queue depth + p99 latency")
-      .option("control-trace", "",
-              "--adaptive: write the admission decision log as JSON here")
       .option("budget-us", "0", "per-update search budget (0 = no deadline)")
       .option("wal", "", "write-ahead log path (empty = durability off)")
       .option("snapshot", "", "snapshot path (empty = snapshots off)")
@@ -769,11 +724,6 @@ int main(int argc, char** argv) {
   }
 
   sopts.queue_capacity = static_cast<std::size_t>(cli.get_int("queue"));
-  sopts.adaptive = cli.get_bool("adaptive");
-  if (sopts.adaptive && sopts.policy != service::OverloadPolicy::kDegrade)
-    std::fprintf(stderr,
-                 "warning: --adaptive retunes the degrade watermark, which "
-                 "only shapes admission under --policy degrade\n");
   sopts.budget_us = cli.get_int("budget-us");
   sopts.wal_path = cli.get("wal");
   sopts.snapshot_path = cli.get("snapshot");
@@ -946,15 +896,6 @@ int main(int argc, char** argv) {
   std::printf("durability: %llu WAL record(s), %llu snapshot(s)\n",
               static_cast<unsigned long long>(s.wal_records),
               static_cast<unsigned long long>(s.snapshots));
-  if (sopts.adaptive)
-    std::printf("control: %llu window(s), %llu watermark decision(s) "
-                "(g%llu/s%llu), final watermark %llu/%zu\n",
-                static_cast<unsigned long long>(report.control.epochs),
-                static_cast<unsigned long long>(report.control.decisions),
-                static_cast<unsigned long long>(report.control.grows),
-                static_cast<unsigned long long>(report.control.shrinks),
-                static_cast<unsigned long long>(report.degrade_watermark),
-                sopts.queue_capacity);
   std::printf("latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, p99.9 %.3f ms, "
               "max %.3f ms\n",
               static_cast<double>(lat.p50_ns) / 1e6,
@@ -965,12 +906,7 @@ int main(int argc, char** argv) {
 
   if (const std::string jpath = cli.get("report-json"); !jpath.empty())
     write_json_report(jpath, report, lat, cli.get("algorithm").c_str(),
-                      config.effective_threads(), cli.get("policy").c_str(),
-                      sopts.adaptive);
-  if (const std::string cpath = cli.get("control-trace"); !cpath.empty()) {
-    write_control_trace(cpath, report);
-    std::printf("control-trace: wrote %s\n", cpath.c_str());
-  }
+                      config.effective_threads(), cli.get("policy").c_str());
 
   if (verify_final) {
     // Replay the *effective* applied order through the recompute oracle from

@@ -37,9 +37,7 @@ csm::SearchTask make_task(std::uint32_t depth) {
 
 /// CPU ns/task for the lock-free per-worker-deque queue.
 double bench_cl_queue(unsigned threads) {
-  const util::VictimTable victims =
-      util::make_victim_table(util::assign_workers(util::HwTopology::flat(threads), threads));
-  engine::TaskQueue queue(victims, 64);
+  engine::TaskQueue queue(threads, 64);
   std::int64_t cpu_ns = 0;
   for (int round = 0; round < kRounds; ++round) {
     for (int i = 0; i < kSeeds; ++i) queue.seed(make_task(1));

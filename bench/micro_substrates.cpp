@@ -244,9 +244,7 @@ void BM_ClassifierLatency(benchmark::State& state) {
 BENCHMARK(BM_ClassifierLatency);
 
 void BM_TaskQueuePushPop(benchmark::State& state) {
-  const util::VictimTable victims =
-      util::make_victim_table(util::assign_workers(util::HwTopology::flat(1), 1));
-  engine::TaskQueue queue(victims);
+  engine::TaskQueue queue(1);
   csm::SearchTask task{{{0, 1}, {1, 2}}};
   for (auto _ : state) {
     queue.push(0, csm::SearchTask(task));

@@ -65,19 +65,6 @@ class CsmAlgorithm {
   /// safety from graph-only facts (e.g. NewSP's NLF check) or return false.
   [[nodiscard]] virtual bool ads_safe(const GraphUpdate& upd) const = 0;
 
-  /// Opt-in contract for the wide batch backend (DESIGN.md §11): return true
-  /// only when `ads_safe` is *implied true* whenever every label-matching
-  /// oriented query edge for the update fails the pending-adjusted endpoint
-  /// degree check or the pending-adjusted packed-NLF containment pre-reject
-  /// at either endpoint. The wide backend then proves kSafeAds from gathered
-  /// endpoint columns alone, without calling `ads_safe`. Must stay false for
-  /// algorithms whose `ads_safe` consults anything beyond those endpoint
-  /// facts — including ADS-bearing algorithms and constant-false rules
-  /// (GraphFlow: a covers-failing update is still classified kUnsafe there).
-  [[nodiscard]] virtual bool ads_safe_endpoint_nlf() const noexcept {
-    return false;
-  }
-
   /// Root-layer search tasks for an edge update (the first layer of the
   /// search tree: both endpoints mapped). For insertions the graph already
   /// contains the edge; for deletions it still does.

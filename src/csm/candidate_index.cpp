@@ -5,8 +5,7 @@
 
 #include "csm/filters.hpp"
 #include "util/checksum.hpp"
-#include "util/numa_alloc.hpp"
-#include "util/wide_ops.hpp"
+#include "util/hugepage.hpp"
 
 namespace paracosm::csm {
 
@@ -185,12 +184,11 @@ bool DagCandidateIndex::safe_edge(VertexId v1, VertexId v2, Label elabel,
 }
 
 void DagCandidateIndex::place_columns(VertexId u) noexcept {
-  util::numa::place_shared(anc_[u].data(), anc_[u].size());
-  util::numa::place_shared(desc_[u].data(), desc_[u].size());
-  util::numa::place_shared(cnt_anc_[u].data(),
-                           cnt_anc_[u].size() * sizeof(std::uint32_t));
-  util::numa::place_shared(cnt_desc_[u].data(),
-                           cnt_desc_[u].size() * sizeof(std::uint32_t));
+  util::advise_hugepages(anc_[u].data(), anc_[u].size());
+  util::advise_hugepages(desc_[u].data(), desc_[u].size());
+  util::advise_hugepages(cnt_anc_[u].data(), cnt_anc_[u].size() * sizeof(std::uint32_t));
+  util::advise_hugepages(cnt_desc_[u].data(),
+                         cnt_desc_[u].size() * sizeof(std::uint32_t));
 }
 
 void DagCandidateIndex::build(const QueryGraph& q, const DataGraph& g,
@@ -207,11 +205,8 @@ void DagCandidateIndex::build(const QueryGraph& q, const DataGraph& g,
   cnt_anc_.assign(n, {});
   cnt_desc_.assign(n, {});
   for (VertexId u = 0; u < n; ++u) {
-    // Columns are physically padded to a kByteBlock multiple with zero tails
-    // (the wide-kernel layout contract, wide_ops.hpp); logical extent is
-    // [0, cap_). The tails stay zero: flag writers only touch live ids.
-    anc_[u].assign(util::wide::padded_bytes(cap_), 0);
-    desc_[u].assign(util::wide::padded_bytes(cap_), 0);
+    anc_[u].assign(cap_, 0);
+    desc_[u].assign(cap_, 0);
     cnt_anc_[u].assign(static_cast<std::size_t>(cap_) * dag_.parents[u].size(), 0);
     cnt_desc_[u].assign(static_cast<std::size_t>(cap_) * dag_.children[u].size(), 0);
     place_columns(u);
@@ -259,8 +254,8 @@ void DagCandidateIndex::on_vertex_added(VertexId id) {
   if (id >= cap_) {
     cap_ = id + 1;
     for (VertexId u = 0; u < q_->num_vertices(); ++u) {
-      anc_[u].resize(util::wide::padded_bytes(cap_), 0);
-      desc_[u].resize(util::wide::padded_bytes(cap_), 0);
+      anc_[u].resize(cap_, 0);
+      desc_[u].resize(cap_, 0);
       cnt_anc_[u].resize(static_cast<std::size_t>(cap_) * dag_.parents[u].size(), 0);
       cnt_desc_[u].resize(static_cast<std::size_t>(cap_) * dag_.children[u].size(), 0);
       place_columns(u);
@@ -380,23 +375,14 @@ bool DagCandidateIndex::safe_remove(VertexId v1, VertexId v2, Label elabel) cons
 }
 
 std::uint64_t DagCandidateIndex::num_candidate_pairs() const noexcept {
-  // AND + popcount over the padded columns (zero tails contribute nothing);
-  // runtime-dispatched between the AVX2 and SWAR kernels.
-  const bool avx2 = util::wide::use_avx2(util::wide::Dispatch::kAuto);
   std::uint64_t total = 0;
-  for (VertexId u = 0; u < q_->num_vertices(); ++u) {
-    const std::size_t padded = anc_[u].size();
-    total += avx2 ? util::wide::count_pairs_avx2(anc_[u].data(), desc_[u].data(),
-                                                 padded)
-                  : util::wide::count_pairs_swar(anc_[u].data(), desc_[u].data(),
-                                                 padded);
-  }
+  for (VertexId u = 0; u < q_->num_vertices(); ++u)
+    for (VertexId v = 0; v < cap_; ++v) total += candidate(u, v) ? 1 : 0;
   return total;
 }
 
 bool DagCandidateIndex::states_equal(const DagCandidateIndex& other) const noexcept {
-  // Compare the logical extent only: two indexes over the same flag set may
-  // have different physical capacities (and therefore different padding).
+  // Two indexes over the same flag set may have different capacities.
   if (q_->num_vertices() != other.q_->num_vertices()) return false;
   const std::uint32_t cap = std::min(cap_, other.cap_);
   for (VertexId u = 0; u < q_->num_vertices(); ++u) {

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/data_graph.hpp"
@@ -88,21 +87,8 @@ class DagCandidateIndex {
   [[nodiscard]] bool safe_insert(VertexId v1, VertexId v2, Label elabel) const;
   [[nodiscard]] bool safe_remove(VertexId v1, VertexId v2, Label elabel) const;
 
-  /// Total candidate pairs (pruning-power statistic). Computed by the wide
-  /// AND+popcount kernel over the padded columns (util/wide_ops.hpp).
+  /// Total candidate pairs (pruning-power statistic).
   [[nodiscard]] std::uint64_t num_candidate_pairs() const noexcept;
-
-  /// Logical column extent (data-graph vertex capacity at last build/grow).
-  [[nodiscard]] std::uint32_t capacity() const noexcept { return cap_; }
-  /// Raw flag columns including the physical padding — the wide-kernel
-  /// layout contract (entries [0, capacity()) live, tail zero-filled to a
-  /// kByteBlock multiple) is pinned by tests/test_batch_backend.cpp.
-  [[nodiscard]] std::span<const std::uint8_t> anc_column(VertexId u) const noexcept {
-    return anc_[u];
-  }
-  [[nodiscard]] std::span<const std::uint8_t> desc_column(VertexId u) const noexcept {
-    return desc_[u];
-  }
 
   /// Flag-for-flag equality — lets tests verify incremental maintenance
   /// against a freshly built index.
@@ -141,8 +127,8 @@ class DagCandidateIndex {
   bool set_anc(VertexId u, VertexId v, bool on) noexcept;
   bool set_desc(VertexId u, VertexId v, bool on) noexcept;
 
-  /// NUMA/hugepage placement advice for query vertex u's candidate columns
-  /// (read by every worker during search). Best-effort, DESIGN.md §10.
+  /// Hugepage advice for query vertex u's candidate columns (read by every
+  /// worker during search). Best-effort, DESIGN.md §10.
   void place_columns(VertexId u) noexcept;
 
   [[nodiscard]] bool stat(VertexId u, VertexId v) const noexcept;

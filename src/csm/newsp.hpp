@@ -26,15 +26,6 @@ class NewSP final : public CsmAlgorithm {
   /// participate in a new match.
   [[nodiscard]] bool ads_safe(const GraphUpdate& upd) const override;
 
-  /// ads_safe above returns false only when some label-matching pair passes
-  /// both the pending-adjusted degree check and nlf_dominates at both
-  /// endpoints, and nlf_dominates leads with the signature pre-reject — so a
-  /// batch lane whose every pair fails degree or signature containment is
-  /// provably safe from the gathered endpoint columns alone.
-  [[nodiscard]] bool ads_safe_endpoint_nlf() const noexcept override {
-    return true;
-  }
-
   void seeds(const GraphUpdate& upd, std::vector<SearchTask>& out) const override;
   void expand(const SearchTask& task, MatchSink& sink, SplitHook* hook) const override;
 

@@ -19,7 +19,7 @@
 
 #include "csm/match.hpp"
 #include "graph/types.hpp"
-#include "util/numa_alloc.hpp"
+#include "util/hugepage.hpp"
 
 namespace paracosm::csm {
 
@@ -33,9 +33,8 @@ class SearchScratch {
     assigned.clear();
     if (stamp_.size() < data_capacity) {
       stamp_.resize(data_capacity, 0);
-      // Worker-private block: hugepage advice only; first-touch by this
-      // (pinned) thread already placed it locally (DESIGN.md §10).
-      util::numa::place_local(stamp_.data(), stamp_.size() * sizeof(std::uint32_t));
+      // Worker-private block: hugepage advice (DESIGN.md §10).
+      util::advise_hugepages(stamp_.data(), stamp_.size() * sizeof(std::uint32_t));
     }
     if (++epoch_ == 0) {  // wrap: invalidate stale stamps from 2^32 tasks ago
       std::fill(stamp_.begin(), stamp_.end(), 0);

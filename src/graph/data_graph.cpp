@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "util/numa_alloc.hpp"
+#include "util/hugepage.hpp"
 
 namespace paracosm::graph {
 
@@ -60,12 +60,12 @@ VertexId DataGraph::add_vertex(Label label) {
 void DataGraph::add_vertex_with_id(VertexId id, Label label) {
   if (id >= vertices_.size()) {
     vertices_.resize(id + 1);
-    // Vertex table: read by every worker during enumeration. Interleave +
-    // hugepage advice once per capacity jump (best-effort, DESIGN.md §10).
-    if (vertices_.capacity() != numa_advised_cap_) {
-      util::numa::place_shared(vertices_.data(),
-                               vertices_.capacity() * sizeof(VertexRec));
-      numa_advised_cap_ = vertices_.capacity();
+    // Vertex table: read by every worker during enumeration. Hugepage
+    // advice once per capacity jump (best-effort, DESIGN.md §10).
+    if (vertices_.capacity() != hugepage_advised_cap_) {
+      util::advise_hugepages(vertices_.data(),
+                             vertices_.capacity() * sizeof(VertexRec));
+      hugepage_advised_cap_ = vertices_.capacity();
     }
   }
   VertexRec& rec = vertices_[id];

@@ -275,8 +275,8 @@ class DataGraph {
   std::vector<LabelBucket> by_label_;
   std::atomic<std::uint64_t> num_edges_{0};
   std::uint32_t alive_ = 0;
-  std::size_t numa_advised_cap_ = 0;  ///< vertices_ capacity last given
-                                      ///< placement advice (DESIGN.md §10)
+  std::size_t hugepage_advised_cap_ = 0;  ///< vertices_ capacity last
+                                          ///< given hugepage advice
 
   [[nodiscard]] bool bucket_entry_live(Label l, std::uint32_t i) const noexcept {
     const VertexId id = by_label_[l].ids[i];

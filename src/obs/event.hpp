@@ -27,13 +27,11 @@ enum class EventKind : std::uint32_t {
   kClassify,     ///< span: one classifier pass; args verdict, u, v
   kBatch,        ///< span: batch classify + safe-apply phases; args index, size
   kSafeApply,    ///< instant: one safe update applied in a batch; args u, v
-  kBatchBackend, ///< span: one backend classify pass; args backend (0 cpu /
-                 ///< 1 wide), lanes, wide_resolved (0 for cpu)
+  kBatchBackend, ///< span: one batch classify pass; args lanes
 
   // Inner-update runtime (per task).
   kTaskExpand,   ///< span: one search task expanded by a worker; args depth
-  kSteal,        ///< instant: successful Chase-Lev steal; args victim, thief,
-                 ///< distance (0 SMT-local / 1 same-node / 2 remote)
+  kSteal,        ///< instant: successful Chase-Lev steal; args victim, thief
   kResplit,      ///< instant: a subtree re-split onto the queue; args depth
 
   // Backtracking search (level 2: per search-tree node).
@@ -154,9 +152,9 @@ inline constexpr std::uint32_t kEventKindCount =
     case EventKind::kClassify: return {"verdict", "u", "v"};
     case EventKind::kBatch: return {"index", "size", "safe_prefix"};
     case EventKind::kSafeApply: return {"u", "v", nullptr};
-    case EventKind::kBatchBackend: return {"backend", "lanes", "wide_resolved"};
+    case EventKind::kBatchBackend: return {"lanes", nullptr, nullptr};
     case EventKind::kTaskExpand: return {"depth", nullptr, nullptr};
-    case EventKind::kSteal: return {"victim", "thief", "distance"};
+    case EventKind::kSteal: return {"victim", "thief", nullptr};
     case EventKind::kResplit: return {"depth", nullptr, nullptr};
     case EventKind::kBacktrackEnter: return {"depth", nullptr, nullptr};
     case EventKind::kPrune: return {"depth", nullptr, nullptr};

@@ -51,19 +51,19 @@ class UpdateClassifier {
   UpdateClass classify_counted(const graph::GraphUpdate& upd,
                                ClassifierStats& stats) const;
 
-  /// Prepass shared with the batch backends (batch_backend.cpp): validity
-  /// screening plus delete-label resolution. nullopt means the update is
-  /// kUnsafe before any stage runs (vertex op, missing endpoint, self-loop,
-  /// duplicate insert / phantom removal); otherwise the returned update has
-  /// its edge label resolved and classify_effective() decides stages 1–3.
+ private:
+  [[nodiscard]] UpdateClass classify_impl(const graph::GraphUpdate& upd) const;
+
+  /// Validity screening plus delete-label resolution. nullopt means the
+  /// update is kUnsafe before any stage runs (vertex op, missing endpoint,
+  /// self-loop, duplicate insert / phantom removal); otherwise the returned
+  /// update has its edge label resolved and classify_effective() decides
+  /// stages 1–3.
   [[nodiscard]] std::optional<graph::GraphUpdate> effective_update(
       const graph::GraphUpdate& upd) const;
 
   /// Stages 1–3 on an already-resolved update (see effective_update()).
   [[nodiscard]] UpdateClass classify_effective(const graph::GraphUpdate& eff) const;
-
- private:
-  [[nodiscard]] UpdateClass classify_impl(const graph::GraphUpdate& upd) const;
 
   const graph::QueryGraph& q_;
   const graph::DataGraph& g_;

@@ -50,35 +50,6 @@ enum class BatchMode : std::uint8_t {
   kStrict,
 };
 
-/// Which classifier backend the batch executor routes safe batches through
-/// (DESIGN.md §11). The registry lives in batch_backend.hpp; the kind is
-/// declared here so Config stays include-light.
-enum class BatchBackendKind : std::uint8_t {
-  kCpu,   ///< worker-pool scalar classification (the PR-2 path)
-  kWide,  ///< AVX2/SWAR wide-lane classification (util/wide_ops.hpp)
-  kAuto,  ///< per batch: cpu for single-lane batches, otherwise wide up to
-          ///  512 lanes (and always on single-thread pools), pool-strided
-          ///  cpu beyond (ParaCosm::backend_for)
-};
-
-[[nodiscard]] constexpr std::string_view batch_backend_name(
-    BatchBackendKind k) noexcept {
-  switch (k) {
-    case BatchBackendKind::kCpu: return "cpu";
-    case BatchBackendKind::kWide: return "wide";
-    case BatchBackendKind::kAuto: return "auto";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr std::optional<BatchBackendKind> parse_batch_backend(
-    std::string_view name) noexcept {
-  if (name == "cpu") return BatchBackendKind::kCpu;
-  if (name == "wide") return BatchBackendKind::kWide;
-  if (name == "auto") return BatchBackendKind::kAuto;
-  return std::nullopt;
-}
-
 struct Config {
   /// Worker threads for both executors. 0 -> CPUs in the affinity mask
   /// (sched_getaffinity), so taskset/cgroup-restricted runs don't
@@ -114,16 +85,11 @@ struct Config {
   /// syscall-free; smaller values release the core sooner.
   std::uint32_t pool_spin_iters = 1024;
 
-  /// Topology-aware runtime knobs (DESIGN.md §10).
-  /// Pin each pool worker to its assigned CPU. Only takes effect when the
-  /// topology came from a real sysfs tree — emulated/flat topologies carry
-  /// CPU ids that may not exist, so pinning is skipped for them.
+  /// Pin each pool worker to its assigned CPU (util::assign_workers:
+  /// distinct cores before SMT siblings). Only takes effect when the
+  /// topology came from a real sysfs tree — the flat fallback carries CPU
+  /// ids that may not exist, so pinning is skipped for it.
   bool pin_threads = false;
-
-  /// Batch classifier backend (DESIGN.md §11). Every backend produces
-  /// byte-identical verdicts (and therefore identical ΔM); they differ only
-  /// in how the classification work is executed.
-  BatchBackendKind batch_backend = BatchBackendKind::kCpu;
 
   [[nodiscard]] unsigned effective_threads() const {
     if (threads != 0) return threads;

@@ -67,7 +67,7 @@ InnerExecutor::InnerExecutor(WorkerPool& pool, std::uint32_t split_depth,
     : pool_(pool),
       split_depth_(split_depth),
       scheduler_(scheduler),
-      queue_(pool.victim_table(), queue_spin_iters) {}
+      queue_(pool.size(), queue_spin_iters) {}
 
 InnerRunResult InnerExecutor::run(
     const csm::CsmAlgorithm& alg, std::vector<csm::SearchTask> seeds,

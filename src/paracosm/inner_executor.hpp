@@ -47,8 +47,8 @@ struct InnerRunResult {
 
 class InnerExecutor {
  public:
-  /// `queue_spin_iters`: see TaskQueue's constructor. The queue sweeps the
-  /// pool's victim table, so `pool` must outlive the executor.
+  /// `queue_spin_iters`: see TaskQueue's constructor. `pool` must outlive
+  /// the executor.
   InnerExecutor(WorkerPool& pool, std::uint32_t split_depth,
                 Scheduler scheduler = Scheduler::kCentralQueue,
                 std::uint32_t queue_spin_iters = 256);

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "csm/match.hpp"
-#include "util/numa_alloc.hpp"
+#include "util/hugepage.hpp"
 
 namespace paracosm::engine {
 
@@ -35,10 +35,9 @@ struct alignas(64) MatchBuffer {
     const std::size_t cap = flat.capacity();
     flat.insert(flat.end(), mapping.begin(), mapping.end());
     // Worker-private sink: on a reallocation of an already-large log, ask
-    // for hugepages; first-touch by this (pinned) worker keeps it local.
+    // for hugepages.
     if (flat.capacity() != cap)
-      util::numa::place_local(flat.data(),
-                              flat.capacity() * sizeof(csm::Assignment));
+      util::advise_hugepages(flat.data(), flat.capacity() * sizeof(csm::Assignment));
     ends.push_back(static_cast<std::uint64_t>(flat.size()));
   }
 

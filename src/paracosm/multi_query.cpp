@@ -1,7 +1,6 @@
 #include "paracosm/multi_query.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
 #include "obs/trace_ring.hpp"
@@ -22,45 +21,6 @@ namespace {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// TouchedSet
-
-void MultiQueryEngine::TouchedSet::prepare(const std::size_t expected_inserts) {
-  // Cap the load factor at 1/2: with 4x slots the linear probe always
-  // terminates and stays short.
-  const std::size_t want =
-      std::bit_ceil(std::max<std::size_t>(16, expected_inserts * 4));
-  if (want > keys_.size()) {
-    keys_.assign(want, 0);
-    stamps_.assign(want, 0);
-    epoch_ = 0;
-  }
-  if (++epoch_ == 0) {  // wrap: invalidate stale stamps from 2^32 batches ago
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    epoch_ = 1;
-  }
-}
-
-bool MultiQueryEngine::TouchedSet::contains(const VertexId v) const noexcept {
-  const std::size_t mask = keys_.size() - 1;
-  for (std::size_t i = (v * 0x9E3779B9u) & mask;; i = (i + 1) & mask) {
-    if (stamps_[i] != epoch_) return false;
-    if (keys_[i] == v) return true;
-  }
-}
-
-void MultiQueryEngine::TouchedSet::insert(const VertexId v) noexcept {
-  const std::size_t mask = keys_.size() - 1;
-  for (std::size_t i = (v * 0x9E3779B9u) & mask;; i = (i + 1) & mask) {
-    if (stamps_[i] != epoch_) {
-      stamps_[i] = epoch_;
-      keys_[i] = v;
-      return;
-    }
-    if (keys_[i] == v) return;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Registration
@@ -585,29 +545,8 @@ MultiStreamResult MultiQueryEngine::process_stream(
       ++prefix;
     }
     if (prefix > 0) {
-      if (nthreads > 1 && prefix > 1) {
-        ShardedCursor cursor(prefix, nthreads, runtime_.pool.node_map());
-        runtime_.pool.run([&](unsigned wid) {
-          util::ThreadCpuTimer timer;
-          std::uint64_t applied = 0;
-          for (std::size_t j = cursor.claim(wid); j != ShardedCursor::npos;
-               j = cursor.claim(wid)) {
-            const GraphUpdate& upd = stream[i + j];
-            locks_.lock_pair(upd.u, upd.v);
-            apply_safe(upd);
-            locks_.unlock_pair(upd.u, upd.v);
-            ++applied;
-          }
-          WorkerStats& ws = result.stats.workers[wid];
-          ws.busy_ns += timer.elapsed_ns();
-          ws.shard_updates += applied;
-        });
-        result.stats.dispatch_ns += runtime_.pool.last_dispatch_ns();
-      } else {
-        util::ThreadCpuTimer timer;
-        for (std::size_t j = 0; j < prefix; ++j) apply_safe(stream[i + j]);
-        result.stats.serial_ns += timer.elapsed_ns();
-      }
+      apply_safe_prefix(runtime_.pool, locks_, stream.subspan(i, prefix), result.stats,
+                        [this](const GraphUpdate& upd) { apply_safe(upd); });
       result.safe_applied += prefix;
       result.updates_processed += prefix;
     }

@@ -1,27 +1,15 @@
 #include "paracosm/paracosm.hpp"
 
 #include <stdexcept>
-#include <unordered_set>
 
 #include "obs/trace_ring.hpp"
+#include "paracosm/shard_cursor.hpp"
 #include "util/timer.hpp"
 
 namespace paracosm::engine {
 
 using graph::GraphUpdate;
 using graph::UpdateOp;
-using graph::VertexId;
-
-namespace {
-
-/// kAuto crossover: batches with at most this many lanes go wide; larger
-/// batches go to the pool-strided cpu backend (with >1 worker the pooled
-/// scalar path overtakes the mostly-serial wide gather once the batch is
-/// big enough to amortize pool dispatch — bench/ablation_backend.cpp). The
-/// measured crossover on the Orkut stand-in at 4 threads.
-constexpr std::size_t kWideAutoCutoff = 512;
-
-}  // namespace
 
 ParaCosm::ParaCosm(csm::CsmAlgorithm& alg, const graph::QueryGraph& q,
                    graph::DataGraph& g, Config config)
@@ -32,24 +20,61 @@ ParaCosm::ParaCosm(csm::CsmAlgorithm& alg, const graph::QueryGraph& q,
       runtime_(config),
       classifier_(q, g, alg) {
   alg_.attach(q_, g_);
-  // Both batch backends are constructed up front (the wide bind is a few
-  // dozen broadcast operands); Config::batch_backend only routes batches.
-  const BackendBind bind{&q_, &g_, &alg_, &classifier_, &runtime_.pool, &locks_};
-  backend_cpu_ = make_batch_backend(BatchBackendKind::kCpu, bind);
-  backend_wide_ = make_batch_backend(BatchBackendKind::kWide, bind);
 }
 
-BatchBackend& ParaCosm::backend_for(std::size_t batch_lanes) noexcept {
-  switch (config_.batch_backend) {
-    case BatchBackendKind::kCpu: return *backend_cpu_;
-    case BatchBackendKind::kWide: return *backend_wide_;
-    case BatchBackendKind::kAuto: break;
+void ParaCosm::classify_batch(std::span<const GraphUpdate> batch,
+                              StreamResult& result) {
+#if defined(PARACOSM_TRACE_ENABLED)
+  const std::int64_t trace_t0 = obs::trace_level() >= 1 ? obs::now_ns() : 0;
+#endif
+  const std::size_t count = batch.size();
+  verdicts_.resize(count);
+  ParallelStats& stats = result.stats;
+  const unsigned nthreads = runtime_.pool.size();
+  if (nthreads > 1 && count > 1) {
+    stats.ensure_size(nthreads);
+    runtime_.pool.run([&](unsigned wid) {
+      util::ThreadCpuTimer timer;
+      for (std::size_t j = wid; j < count; j += nthreads)
+        verdicts_[j] = classifier_.classify(batch[j]);
+      stats.workers[wid].busy_ns += timer.elapsed_ns();
+    });
+    stats.dispatch_ns += runtime_.pool.last_dispatch_ns();
+  } else {
+    util::ThreadCpuTimer timer;
+    for (std::size_t j = 0; j < count; ++j) verdicts_[j] = classifier_.classify(batch[j]);
+    stats.serial_ns += timer.elapsed_ns();
   }
-  // A single lane needs no gather: the cpu backend classifies it inline,
-  // without a pool dispatch, at any pool size.
-  if (batch_lanes <= 1) return *backend_cpu_;
-  if (runtime_.pool.size() <= 1) return *backend_wide_;
-  return batch_lanes <= kWideAutoCutoff ? *backend_wide_ : *backend_cpu_;
+  BatchBackendStats& counters = result.backend_cpu;
+  ++counters.batches;
+  counters.lanes += count;
+  for (std::size_t j = 0; j < count; ++j) {
+    switch (verdicts_[j]) {
+      case UpdateClass::kSafeLabel: ++counters.safe_label; break;
+      case UpdateClass::kSafeDegree: ++counters.safe_degree; break;
+      case UpdateClass::kSafeAds: ++counters.safe_ads; break;
+      case UpdateClass::kUnsafe: ++counters.unsafe_lanes; break;
+    }
+  }
+#if defined(PARACOSM_TRACE_ENABLED)
+  if (obs::trace_level() >= 1)
+    obs::trace_complete(obs::EventKind::kBatchBackend, trace_t0, count);
+#endif
+}
+
+void ParaCosm::apply_safe(const GraphUpdate& upd) {
+  if (upd.op == UpdateOp::kInsertEdge) {
+    g_.add_edge(upd.u, upd.v, upd.label);
+    alg_.on_edge_inserted(upd);  // counter-cache deltas only; no flips by proof
+  } else {
+    const auto removed = g_.remove_edge(upd.u, upd.v);
+    if (removed) {
+      GraphUpdate applied = upd;
+      applied.label = *removed;
+      alg_.on_edge_removed(applied);
+    }
+  }
+  PARACOSM_TRACE_INSTANT(obs::EventKind::kSafeApply, upd.u, upd.v);
 }
 
 csm::UpdateOutcome ParaCosm::process(const GraphUpdate& upd,
@@ -204,15 +229,10 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
     return result;
   }
 
-  // Per-stream backend accounting: reset here, snapshot into the result at
-  // the end (conservation: cpu.batches + wide.batches == result.batches).
-  backend_cpu_->reset_stats();
-  backend_wide_->reset_stats();
-
   std::size_t i = 0;
-  std::vector<UpdateClass> verdicts;
   result.stats.ensure_size(runtime_.pool.size());
   const unsigned k = std::max(1u, config_.effective_batch_size());
+  const bool strict = config_.batch_mode == BatchMode::kStrict;
 
   while (i < stream.size()) {
     if (expired()) {
@@ -231,43 +251,35 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
 #endif
 
     // Phase 1 — classification against the batch-start snapshot (read-only
-    // on graph and ADS), routed through the configured batch backend
-    // (batch_backend.hpp): the CPU backend strides the scalar classifier
-    // over the pool, the wide backend runs the mask kernels. Both produce
-    // byte-identical verdicts (the wide path self-diffs per batch under
-    // PARACOSM_VERIFY).
-    verdicts.assign(count, UpdateClass::kUnsafe);
-    BatchBackend& backend = backend_for(count);
-    backend.classify_batch(stream.subspan(i, count), verdicts, result.stats);
+    // on graph and ADS).
+    classify_batch(stream.subspan(i, count), result);
 
     // Phase 2a — commit plan (cheap, sequential): the safe prefix up to the
     // first unsafe update (Figure 6) or, in strict mode, the first update
     // whose endpoints were already touched in this batch (DESIGN.md §4).
-    std::unordered_set<VertexId> touched;
+    if (strict) touched_.prepare(2 * count);
     std::size_t safe_prefix = 0;
     bool hit_unsafe = false;
     while (safe_prefix < count) {
       const GraphUpdate& upd = stream[i + safe_prefix];
-      const UpdateClass verdict = verdicts[safe_prefix];
-      if (!is_safe(verdict)) {
+      if (!is_safe(verdicts_[safe_prefix])) {
         hit_unsafe = true;
         break;
       }
-      if (config_.batch_mode == BatchMode::kStrict && upd.is_edge_op() &&
-          (touched.contains(upd.u) || touched.contains(upd.v))) {
-        // Snapshot verdict may be stale: defer for re-classification.
-        ++result.deferred_conflicts;
-        break;
-      }
-      if (upd.is_edge_op()) {
-        touched.insert(upd.u);
-        touched.insert(upd.v);
+      if (strict && upd.is_edge_op()) {
+        if (touched_.contains(upd.u) || touched_.contains(upd.v)) {
+          // Snapshot verdict may be stale: defer for re-classification.
+          ++result.deferred_conflicts;
+          break;
+        }
+        touched_.insert(upd.u);
+        touched_.insert(upd.v);
       }
       ++safe_prefix;
     }
     for (std::size_t j = 0; j < safe_prefix + (hit_unsafe ? 1 : 0); ++j) {
       ++result.classifier.total;
-      switch (verdicts[j]) {
+      switch (verdicts_[j]) {
         case UpdateClass::kSafeLabel: ++result.classifier.safe_label; break;
         case UpdateClass::kSafeDegree: ++result.classifier.safe_degree; break;
         case UpdateClass::kSafeAds: ++result.classifier.safe_ads; break;
@@ -291,7 +303,9 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
       // where workers mutate counter caches concurrently.
       const std::uint64_t verify_ads_before = alg_.ads_checksum();
 #endif
-      backend.apply_safe_prefix(stream.subspan(i, safe_prefix), result.stats);
+      apply_safe_prefix(
+          runtime_.pool, locks_, stream.subspan(i, safe_prefix), result.stats,
+          [this](const GraphUpdate& upd) { apply_safe(upd); });
 #ifdef PARACOSM_VERIFY
       if (alg_.ads_checksum() != verify_ads_before)
         throw std::logic_error(
@@ -319,8 +333,6 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
     }
   }
 
-  result.backend_cpu = backend_cpu_->stats();
-  result.backend_wide = backend_wide_->stats();
   result.wall_ns = wall.elapsed_ns();
   return result;
 }

@@ -11,14 +11,16 @@
 //                        of a batch.
 #pragma once
 
-#include <memory>
+#include <functional>
 #include <span>
+#include <vector>
 
 #include "csm/engine.hpp"
-#include "paracosm/batch_backend.hpp"
 #include "paracosm/classifier.hpp"
 #include "paracosm/config.hpp"
 #include "paracosm/inner_executor.hpp"
+#include "paracosm/stats.hpp"
+#include "paracosm/touched_set.hpp"
 #include "paracosm/worker_pool.hpp"
 #include "util/sync.hpp"
 
@@ -41,10 +43,11 @@ struct StreamResult {
   std::uint64_t deferred_after_unsafe = 0;
   std::uint64_t deferred_conflicts = 0;  ///< strict mode only
 
-  /// Per-backend classification counters for this stream (DESIGN.md §11).
-  /// In inter-parallel mode backend_cpu.batches + backend_wide.batches ==
-  /// batches — every batch is classified by exactly one backend.
+  /// Classify-pass counters for this stream. In inter-parallel mode
+  /// backend_cpu.batches == batches.
   BatchBackendStats backend_cpu;
+  /// Always zero. Kept only because benchmark/src/workloads.cpp reads its
+  /// `lanes`.
   BatchBackendStats backend_wide;
 
   ParallelStats stats;
@@ -103,9 +106,13 @@ class ParaCosm {
   csm::UpdateOutcome process_edge(const graph::GraphUpdate& upd,
                                   util::Clock::time_point deadline,
                                   util::CancelView cancel, ParallelStats& stats);
-  /// The backend one batch routes through (Config::batch_backend; kAuto
-  /// picks per batch size, see BatchBackendKind::kAuto).
-  [[nodiscard]] BatchBackend& backend_for(std::size_t batch_lanes) noexcept;
+  /// Phase 1 of the batch executor: classify `batch` against the
+  /// batch-start snapshot into verdicts_[0, batch.size()), the scalar
+  /// classifier strided over the pool.
+  void classify_batch(std::span<const graph::GraphUpdate> batch, StreamResult& result);
+  /// One safe update: adjacency plus counter-cache deltas, no enumeration
+  /// (safety guarantees ΔM = ∅ and no index flips).
+  void apply_safe(const graph::GraphUpdate& upd);
 
   csm::CsmAlgorithm& alg_;
   const graph::QueryGraph& q_;
@@ -114,8 +121,9 @@ class ParaCosm {
   InnerRuntime runtime_;
   UpdateClassifier classifier_;
   util::StripedLocks<64> locks_;
-  std::unique_ptr<BatchBackend> backend_cpu_;
-  std::unique_ptr<BatchBackend> backend_wide_;
+  // Batch scratch reused across batches and process_stream calls.
+  std::vector<UpdateClass> verdicts_;
+  TouchedSet touched_;
   ParallelStats loose_stats_;
   std::function<void(std::span<const csm::Assignment>)> on_match_;
 };

@@ -10,11 +10,8 @@
 // each worker walking a contiguous slice of the batch — sequential access on
 // the update array instead of an interleaved scatter.
 //
-// Topology awareness (DESIGN.md §10): given the pool's worker→node map, each
-// worker's probe order visits its own shard, then the shards of same-node
-// workers, then remote ones — so straggler cleanup stays on the local memory
-// controller for as long as any same-node work remains. An empty node map
-// reproduces the plain ring probe.
+// apply_safe_prefix below is the one phase-2b loop both engines (ParaCosm,
+// MultiQueryEngine) run over a strict-mode safe prefix.
 #pragma once
 
 #include <atomic>
@@ -23,7 +20,12 @@
 #include <limits>
 #include <memory>
 #include <span>
-#include <vector>
+
+#include "graph/types.hpp"
+#include "paracosm/stats.hpp"
+#include "paracosm/worker_pool.hpp"
+#include "util/sync.hpp"
+#include "util/timer.hpp"
 
 namespace paracosm::engine {
 
@@ -31,11 +33,7 @@ class ShardedCursor {
  public:
   static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
 
-  /// `node_of`: NUMA node per worker (WorkerPool::node_map()); empty (or
-  /// wrong-sized) span -> ring probe order, exactly the pre-topology
-  /// behavior.
-  ShardedCursor(std::size_t total, unsigned workers,
-                std::span<const std::uint8_t> node_of = {})
+  ShardedCursor(std::size_t total, unsigned workers)
       : n_(workers == 0 ? 1u : workers), shards_(new Shard[n_]) {
     const std::size_t base = total / n_;
     const std::size_t extra = total % n_;
@@ -46,39 +44,13 @@ class ShardedCursor {
       shards_[i].end = begin + len;
       begin += len;
     }
-    if (node_of.size() == n_) {
-      bool multi = false;
-      for (std::uint8_t n : node_of)
-        if (n != node_of[0]) { multi = true; break; }
-      if (multi) {
-        // Per-worker probe permutation: self, same-node (ring order from
-        // self for spread), then remote (likewise).
-        probe_.resize(static_cast<std::size_t>(n_) * n_);
-        for (unsigned w = 0; w < n_; ++w) {
-          std::uint16_t* row = probe_.data() + static_cast<std::size_t>(w) * n_;
-          unsigned out = 0;
-          row[out++] = static_cast<std::uint16_t>(w);
-          for (unsigned k = 1; k < n_; ++k) {
-            const unsigned v = (w + k) % n_;
-            if (node_of[v] == node_of[w]) row[out++] = static_cast<std::uint16_t>(v);
-          }
-          for (unsigned k = 1; k < n_; ++k) {
-            const unsigned v = (w + k) % n_;
-            if (node_of[v] != node_of[w]) row[out++] = static_cast<std::uint16_t>(v);
-          }
-        }
-      }
-    }
   }
 
-  /// Claim the next index for worker `wid`, own shard first, then same-node
-  /// shards, then remote; npos when the whole range is drained.
+  /// Claim the next index for worker `wid`, own shard first, then the
+  /// others in ring order; npos when the whole range is drained.
   [[nodiscard]] std::size_t claim(unsigned wid) noexcept {
-    const std::uint16_t* row =
-        probe_.empty() ? nullptr
-                       : probe_.data() + static_cast<std::size_t>(wid) * n_;
     for (unsigned k = 0; k < n_; ++k) {
-      Shard& s = shards_[row != nullptr ? row[k] : (wid + k) % n_];
+      Shard& s = shards_[(wid + k) % n_];
       std::size_t j = s.next.load(std::memory_order_relaxed);
       // CAS loop (not fetch_add) so losing thieves never push the cursor
       // past `end` — overshoot would make shard-size accounting lie.
@@ -99,7 +71,42 @@ class ShardedCursor {
 
   unsigned n_;
   std::unique_ptr<Shard[]> shards_;
-  std::vector<std::uint16_t> probe_;  ///< empty -> ring order
 };
+
+/// Phase 2b of the batch executor: apply a strict-mode safe prefix across
+/// `pool`. Each worker drains its ShardedCursor shard, then stragglers'
+/// remainders; `locks` serialize the rare stripe collisions. A one-worker
+/// pool or a one-update prefix runs inline on the caller. `apply(upd)`
+/// performs one safe update (adjacency plus counter-cache deltas).
+template <typename Apply>
+void apply_safe_prefix(WorkerPool& pool, util::StripedLocks<64>& locks,
+                       std::span<const graph::GraphUpdate> prefix,
+                       ParallelStats& stats, const Apply& apply) {
+  const unsigned nthreads = pool.size();
+  if (nthreads > 1 && prefix.size() > 1) {
+    stats.ensure_size(nthreads);
+    ShardedCursor cursor(prefix.size(), nthreads);
+    pool.run([&](unsigned wid) {
+      util::ThreadCpuTimer timer;
+      std::uint64_t applied = 0;
+      for (std::size_t j = cursor.claim(wid); j != ShardedCursor::npos;
+           j = cursor.claim(wid)) {
+        const graph::GraphUpdate& upd = prefix[j];
+        locks.lock_pair(upd.u, upd.v);
+        apply(upd);
+        locks.unlock_pair(upd.u, upd.v);
+        ++applied;
+      }
+      WorkerStats& ws = stats.workers[wid];
+      ws.busy_ns += timer.elapsed_ns();
+      ws.shard_updates += applied;
+    });
+    stats.dispatch_ns += pool.last_dispatch_ns();
+  } else {
+    util::ThreadCpuTimer timer;
+    for (const graph::GraphUpdate& upd : prefix) apply(upd);
+    stats.serial_ns += timer.elapsed_ns();
+  }
+}
 
 }  // namespace paracosm::engine

@@ -22,11 +22,6 @@ struct WorkerStats {
   // Scheduler counters (the low-contention runtime, DESIGN.md §5).
   std::uint64_t steals_attempted = 0;  ///< steal_top calls on other deques
   std::uint64_t steals_succeeded = 0;  ///< CAS-claimed tasks
-  // Successful steals by victim distance (DESIGN.md §10). Always sums to
-  // steals_succeeded; on a flat topology everything lands in same_node.
-  std::uint64_t steals_local = 0;      ///< victim on the same core (SMT sibling)
-  std::uint64_t steals_same_node = 0;  ///< victim on the same NUMA node
-  std::uint64_t steals_remote = 0;     ///< victim on another node
   std::uint64_t offloads = 0;          ///< tasks re-split onto the queue
   std::uint64_t parks = 0;             ///< spin budget exhausted -> parked
   std::uint64_t shard_updates = 0;     ///< safe updates applied by this worker
@@ -39,9 +34,6 @@ struct WorkerStats {
     matches += other.matches;
     steals_attempted += other.steals_attempted;
     steals_succeeded += other.steals_succeeded;
-    steals_local += other.steals_local;
-    steals_same_node += other.steals_same_node;
-    steals_remote += other.steals_remote;
     offloads += other.offloads;
     parks += other.parks;
     shard_updates += other.shard_updates;
@@ -76,28 +68,6 @@ struct ParallelStats {
     std::uint64_t s = 0;
     for (const WorkerStats& w : workers) s += w.steals_succeeded;
     return s;
-  }
-  [[nodiscard]] std::uint64_t total_steals_local() const noexcept {
-    std::uint64_t s = 0;
-    for (const WorkerStats& w : workers) s += w.steals_local;
-    return s;
-  }
-  [[nodiscard]] std::uint64_t total_steals_same_node() const noexcept {
-    std::uint64_t s = 0;
-    for (const WorkerStats& w : workers) s += w.steals_same_node;
-    return s;
-  }
-  [[nodiscard]] std::uint64_t total_steals_remote() const noexcept {
-    std::uint64_t s = 0;
-    for (const WorkerStats& w : workers) s += w.steals_remote;
-    return s;
-  }
-  /// Remote share of successful steals — the ablation's headline metric.
-  [[nodiscard]] double remote_steal_share() const noexcept {
-    const std::uint64_t total = total_steals_succeeded();
-    return total == 0 ? 0.0
-                      : static_cast<double>(total_steals_remote()) /
-                            static_cast<double>(total);
   }
   [[nodiscard]] std::uint64_t total_offloads() const noexcept {
     std::uint64_t s = 0;
@@ -222,14 +192,13 @@ struct MultiQueryStats {
   }
 };
 
-/// Per-backend counters of the pluggable safe-batch classifier backends
-/// (DESIGN.md §11). Conservation contract (asserted by test_obs_integration):
-/// `lanes` equals the sum of the four verdict counters, and for the wide
-/// backend it also equals prepass_unsafe + label_rejects + degree_rejects +
-/// swar_prerejects + scalar_fallbacks; across a stream, cpu.batches +
-/// wide.batches == StreamResult::batches (inter-parallel mode).
+/// Counters of the batch executor's classify pass over one stream: every
+/// classified lane, including those of deferred batch tails (ClassifierStats
+/// counts only committed verdicts). Conservation contract (asserted by
+/// test_obs_integration): `lanes` equals the sum of the four verdict
+/// counters, and `batches` == StreamResult::batches (inter-parallel mode).
 struct BatchBackendStats {
-  std::uint64_t batches = 0;  ///< batches this backend classified
+  std::uint64_t batches = 0;  ///< batches classified
   std::uint64_t lanes = 0;    ///< updates (lanes) classified
 
   // Verdicts produced (same taxonomy as ClassifierStats).
@@ -238,43 +207,8 @@ struct BatchBackendStats {
   std::uint64_t safe_ads = 0;
   std::uint64_t unsafe_lanes = 0;
 
-  // Wide-backend resolution breakdown (zero for the CPU backend).
-  std::uint64_t prepass_unsafe = 0;    ///< rejected by the scalar prepass
-  std::uint64_t label_rejects = 0;     ///< kSafeLabel proved by the mask kernels
-  std::uint64_t degree_rejects = 0;    ///< kSafeDegree proved by the mask kernels
-  std::uint64_t swar_prerejects = 0;   ///< kSafeAds proved by the NLF pre-reject
-  std::uint64_t scalar_fallbacks = 0;  ///< lanes handed to the scalar classifier
-
-  // Instruction-path accounting.
-  std::uint64_t avx2_batches = 0;          ///< batches run on the AVX2 path
-  std::uint64_t swar_batches = 0;          ///< batches run on the portable path
-  std::uint64_t fallback_activations = 0;  ///< batches run SWAR under a
-                                           ///< kForceAvx2 request (no AVX2)
-  std::uint64_t verify_diffs = 0;          ///< PARACOSM_VERIFY oracle diffs run
-
   [[nodiscard]] std::uint64_t safe() const noexcept {
     return safe_label + safe_degree + safe_ads;
-  }
-  [[nodiscard]] std::uint64_t wide_resolved() const noexcept {
-    return prepass_unsafe + label_rejects + degree_rejects + swar_prerejects;
-  }
-
-  void merge(const BatchBackendStats& other) noexcept {
-    batches += other.batches;
-    lanes += other.lanes;
-    safe_label += other.safe_label;
-    safe_degree += other.safe_degree;
-    safe_ads += other.safe_ads;
-    unsafe_lanes += other.unsafe_lanes;
-    prepass_unsafe += other.prepass_unsafe;
-    label_rejects += other.label_rejects;
-    degree_rejects += other.degree_rejects;
-    swar_prerejects += other.swar_prerejects;
-    scalar_fallbacks += other.scalar_fallbacks;
-    avx2_batches += other.avx2_batches;
-    swar_batches += other.swar_batches;
-    fallback_activations += other.fallback_activations;
-    verify_diffs += other.verify_diffs;
   }
 };
 

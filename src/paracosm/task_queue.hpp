@@ -17,10 +17,9 @@
 // it idle quickly), and finally parks on a condvar; pushes use a seq_cst
 // Dekker handshake with the parked count so no wakeup is lost (DESIGN.md §5).
 //
-// Victim order: the queue sweeps a distance-sorted victim table
-// (util::make_victim_table, usually WorkerPool::victim_table()) — SMT
-// sibling, then same node, then the remote tier on a cadence (DESIGN.md
-// §10). A flat machine is a table with an empty remote tier.
+// Victim order: a sweep visits every other worker in ascending id order,
+// starting from a per-worker random offset so concurrent thieves spread over
+// victims; a push wakes the first parked worker in ascending id order.
 //
 // Thread roles:
 //   * quiescent phase (seeding / BFS initialization, single thread): `seed`
@@ -43,50 +42,20 @@
 #include "obs/trace_ring.hpp"
 #include "paracosm/cl_deque.hpp"
 #include "paracosm/stats.hpp"
-#include "util/hw_topo.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
 
 namespace paracosm::engine {
 
-// --- topology-aware stealing constants (DESIGN.md §10) ---------------------
-
-/// Remote probing is a *cadence*, not a default: an idle worker includes the
-/// remote tier only every kRemoteProbePeriod-th sweep, probing its own
-/// node's victims on every other one. This is what biases the race for a
-/// freshly split task toward same-node thieves — sweep order alone cannot,
-/// because the inter-sweep spin dominates the sweep itself, so whichever
-/// idler's sweep fires first wins regardless of tier order. Fruitless remote
-/// passes stretch the cadence exponentially up to kRemoteBackoffMax sweeps;
-/// a successful remote steal snaps it back to the base period.
-inline constexpr std::uint32_t kRemoteProbePeriod = 64;
-inline constexpr std::uint32_t kRemoteBackoffMax = 512;
-
-/// A remote steal migrates up to this many tasks: one to run immediately,
-/// the rest into the thief's own deque. Near-first sweeping alone starves
-/// the far node — its workers find nothing same-node, pay a cross-node steal
-/// for a *single* task, consume it, and are starved again, so every steal
-/// they make is remote. Migrating a small batch seeds same-node stealing on
-/// the thief's side of the interconnect, which is what actually cuts the
-/// remote-steal share.
-inline constexpr std::uint32_t kRemoteBatch = 4;
-
 class TaskQueue {
  public:
-  /// One worker per `victims` entry. The table (usually WorkerPool::
-  /// victim_table()) must cover >= 1 worker and outlive the queue.
+  /// One deque per worker (`workers` is clamped to >= 1).
   /// `spin_iters`: find-work spin iterations (with periodic yields) before a
   /// worker parks on its condvar. Small by design: parked workers are cheap
   /// and the split predicate treats spinning and parked workers alike.
-  explicit TaskQueue(const util::VictimTable& victims, std::uint32_t spin_iters = 256)
-      : victims_(victims), spin_iters_(spin_iters), n_(victims.n), w_(new PerWorker[n_]) {
-    for (unsigned i = 0; i < n_; ++i) {
-      w_[i].rng.reseed(0xc1de9e5ULL * (i + 1));
-      // Most steals are the fan-out races at the start of each update. Arm
-      // the remote cadence from sweep zero or those races run tier-blind and
-      // the bias never materializes.
-      w_[i].remote_skip = kBasePeriod;
-    }
+  explicit TaskQueue(unsigned workers, std::uint32_t spin_iters = 256)
+      : spin_iters_(spin_iters), n_(std::max(1u, workers)), w_(new PerWorker[n_]) {
+    for (unsigned i = 0; i < n_; ++i) w_[i].rng.reseed(0xc1de9e5ULL * (i + 1));
   }
 
   ~TaskQueue() { drain_and_free(); }
@@ -149,7 +118,7 @@ class TaskQueue {
     idle_.fetch_add(1, std::memory_order_relaxed);
     util::SpinBackoff backoff;
     for (;;) {
-      // One full topology-ordered victim sweep per attempt.
+      // One full victim sweep per attempt.
       if (csm::SearchTask* node = sweep_victims(wid, me)) {
         pending_.fetch_sub(1, std::memory_order_relaxed);
         idle_.fetch_sub(1, std::memory_order_relaxed);
@@ -202,12 +171,8 @@ class TaskQueue {
     PerWorker& me = w_[wid];
     ws.steals_attempted += me.steals_attempted;
     ws.steals_succeeded += me.steals_succeeded;
-    ws.steals_local += me.steals_local;
-    ws.steals_same_node += me.steals_same_node;
-    ws.steals_remote += me.steals_remote;
     ws.parks += me.parks;
     me.steals_attempted = me.steals_succeeded = me.parks = 0;
-    me.steals_local = me.steals_same_node = me.steals_remote = 0;
   }
 
  private:
@@ -217,11 +182,6 @@ class TaskQueue {
     util::Rng rng{0};
     std::uint64_t steals_attempted = 0;
     std::uint64_t steals_succeeded = 0;
-    std::uint64_t steals_local = 0;      ///< by victim distance; sums to
-    std::uint64_t steals_same_node = 0;  ///< steals_succeeded (same-node on a
-    std::uint64_t steals_remote = 0;     ///< flat machine)
-    std::uint32_t remote_backoff = 0;  ///< current back-off length (sweeps)
-    std::uint32_t remote_skip = 0;     ///< sweeps left skipping remote tier
     std::uint64_t parks = 0;
     std::atomic<bool> parked{false};  ///< blocked on park_cv (or about to)
     std::mutex park_mutex;
@@ -239,82 +199,23 @@ class TaskQueue {
     }
   };
 
-  /// One full victim sweep for `wid`: probe near victims (SMT sibling, then
-  /// same node — the table is distance-sorted) before remote ones, rotating
-  /// randomly *within* each tier so concurrent thieves spread over victims;
-  /// the remote tier is skipped for an exponentially growing number of
-  /// sweeps after fruitless remote probes (reset by any success).
+  /// One full victim sweep for `wid`: every other worker once, in ascending
+  /// id order rotated by a random start.
   [[nodiscard]] csm::SearchTask* sweep_victims(unsigned wid, PerWorker& me) {
-    const std::span<const util::Victim> row = victims_.of(wid);
-    const unsigned near_len = victims_.remote_begin[wid];
-    const unsigned remote_len = static_cast<unsigned>(row.size()) - near_len;
-    if (near_len > 0) {
-      const unsigned start = static_cast<unsigned>(me.rng.bounded(near_len));
-      for (unsigned k = 0; k < near_len; ++k) {
-        const util::Victim& vic = row[(start + k) % near_len];
-        ++me.steals_attempted;
-        if (csm::SearchTask* node = w_[vic.wid].deque.steal_top())
-          return record_steal(me, wid, vic.wid, node);
-      }
-    }
-    if (remote_len > 0) {
-      // Starvation valve: a queued backlog our near tier evidently isn't
-      // draining means the work is genuinely elsewhere — migrate now, skip
-      // or no skip. Only the scarce-work tails (a pending task or two that
-      // near idlers are racing for) stay cadenced; that is where cadence
-      // converts cross-node steals into same-node ones instead of delaying
-      // anybody.
-      const bool surplus =
-          pending_.load(std::memory_order_relaxed) > std::int64_t{2};
-      if (me.remote_skip > 0 && !surplus) {
-        --me.remote_skip;
-      } else {
-        const unsigned start = static_cast<unsigned>(me.rng.bounded(remote_len));
-        for (unsigned k = 0; k < remote_len; ++k) {
-          const util::Victim& vic = row[near_len + (start + k) % remote_len];
-          ++me.steals_attempted;
-          if (csm::SearchTask* node = w_[vic.wid].deque.steal_top()) {
-            // Batch the migration (see kRemoteBatch): extras go to our own
-            // deque — they stay pending and in flight, only their home
-            // changes, so no counter or wakeup bookkeeping moves.
-            for (std::uint32_t extra = 1; extra < kRemoteBatch; ++extra) {
-              csm::SearchTask* more = w_[vic.wid].deque.steal_top();
-              if (more == nullptr) break;
-              me.deque.push_bottom(more);
-            }
-            me.remote_backoff = 0;
-            me.remote_skip = kBasePeriod;
-            return record_steal(me, wid, vic.wid, node);
-          }
-        }
-        me.remote_backoff =
-            std::min(me.remote_backoff == 0 ? kBasePeriod : me.remote_backoff * 2u,
-                     kRemoteBackoffMax);
-        me.remote_skip = me.remote_backoff;
+    const unsigned others = n_ - 1;
+    if (others == 0) return nullptr;
+    const unsigned start = static_cast<unsigned>(me.rng.bounded(others));
+    for (unsigned k = 0; k < others; ++k) {
+      unsigned victim = (start + k) % others;
+      if (victim >= wid) ++victim;  // skip our own deque
+      ++me.steals_attempted;
+      if (csm::SearchTask* node = w_[victim].deque.steal_top()) {
+        ++me.steals_succeeded;
+        PARACOSM_TRACE_INSTANT(obs::EventKind::kSteal, victim, wid);
+        return node;
       }
     }
     return nullptr;
-  }
-
-  /// Base remote cadence: sweeps skipped between remote-tier passes.
-  static constexpr std::uint32_t kBasePeriod = kRemoteProbePeriod - 1;
-
-  /// Successful steal: count it and price its distance. Remote cadence
-  /// state is managed by the sweep itself (a near success deliberately does
-  /// NOT re-enable eager remote probing — a worker that can feed itself
-  /// same-node has no reason to hammer the interconnect).
-  csm::SearchTask* record_steal(PerWorker& me, unsigned wid, unsigned victim,
-                                csm::SearchTask* node) {
-    ++me.steals_succeeded;
-    const util::StealDistance d = victims_.distance(wid, victim);
-    switch (d) {
-      case util::StealDistance::kLocal: ++me.steals_local; break;
-      case util::StealDistance::kSameNode: ++me.steals_same_node; break;
-      case util::StealDistance::kRemote: ++me.steals_remote; break;
-    }
-    PARACOSM_TRACE_INSTANT(obs::EventKind::kSteal, victim, wid,
-                           static_cast<std::uint64_t>(d));
-    return node;
   }
 
   /// Move the task out of the node and recycle the node on the taker's own
@@ -339,18 +240,14 @@ class TaskQueue {
     parked_.fetch_sub(1, std::memory_order_relaxed);
   }
 
-  /// Wake one parked worker, nearest the pusher first: scanning the pusher's
-  /// distance-sorted victim row hands a fresh split to an SMT sibling or
-  /// same-node worker whenever one is parked (waking an arbitrary one made
-  /// the steal-distance mix at burst tails follow the worker population, no
-  /// matter how the sweep was tiered). Dekker handshake: push publishes
-  /// pending_ (seq_cst) then reads the parked flags here; park() sets its
-  /// flag then reads pending_ in the wait predicate — one side always
-  /// observes the other, and the row covers every other worker, so a needed
-  /// wake is never skipped.
+  /// Wake the first parked worker other than the pusher, in ascending id
+  /// order. Dekker handshake: push publishes pending_ (seq_cst) then reads
+  /// the parked flags here; park() sets its flag then reads pending_ in the
+  /// wait predicate — one side always observes the other, and the scan
+  /// covers every other worker, so a needed wake is never skipped.
   void wake_one(unsigned wid) {
-    for (const util::Victim& vic : victims_.of(wid))
-      if (try_wake(w_[vic.wid])) return;
+    for (unsigned v = 0; v < n_; ++v)
+      if (v != wid && try_wake(w_[v])) return;
   }
 
   bool try_wake(PerWorker& cand) {
@@ -374,7 +271,6 @@ class TaskQueue {
       while (csm::SearchTask* node = w_[i].deque.steal_top()) delete node;
   }
 
-  const util::VictimTable& victims_;
   std::uint32_t spin_iters_;
   unsigned n_;
   std::unique_ptr<PerWorker[]> w_;

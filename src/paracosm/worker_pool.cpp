@@ -4,6 +4,7 @@
 #include <string>
 
 #include "obs/trace_ring.hpp"
+#include "util/hw_topo.hpp"
 #include "util/sync.hpp"
 #include "util/timer.hpp"
 
@@ -20,19 +21,17 @@ namespace {
 }  // namespace
 
 WorkerPool::WorkerPool(unsigned num_threads, const PoolOptions& options)
-    : spin_iters_(options.spin_iters),
-      topo_(options.topology != nullptr ? *options.topology
-                                        : util::HwTopology::cached()),
-      pin_(options.pin) {
+    : spin_iters_(options.spin_iters) {
   const unsigned n = std::max(1u, num_threads);
-  assignment_ = util::assign_workers(topo_, n);
-  victims_ = util::make_victim_table(assignment_);
-  node_map_.resize(n);
-  for (unsigned i = 0; i < n; ++i)
-    node_map_[i] = static_cast<std::uint8_t>(assignment_[i].node);
-  // Pin only when the CPU ids are real; emulated/flat trees are policy-only.
-  pinned_.store(pin_ && topo_.source == util::TopoSource::kSysfs,
-                std::memory_order_relaxed);
+  // Placement is computed only to pin, and only when the CPU ids are real.
+  if (options.pin) {
+    const util::HwTopology& topo = util::HwTopology::cached();
+    if (topo.source == util::TopoSource::kSysfs) {
+      for (const util::TopoCpu& c : util::assign_workers(topo, n))
+        pin_cpus_.push_back(c.cpu);
+      pinned_.store(true, std::memory_order_relaxed);
+    }
+  }
   slots_.reset(new Slot[n]);
   threads_.reserve(n);
   for (unsigned id = 0; id < n; ++id)
@@ -93,10 +92,8 @@ std::uint64_t WorkerPool::total_parks() const noexcept {
 
 void WorkerPool::worker_loop(unsigned id) {
   PARACOSM_TRACE_THREAD_NAME("worker " + std::to_string(id));
-  if (pin_ && topo_.source == util::TopoSource::kSysfs) {
-    if (!util::pin_current_thread(assignment_[id].cpu))
-      pinned_.store(false, std::memory_order_relaxed);
-  }
+  if (!pin_cpus_.empty() && !util::pin_current_thread(pin_cpus_[id]))
+    pinned_.store(false, std::memory_order_relaxed);
   Slot& slot = slots_[id];
   std::uint64_t seen = 0;
   for (;;) {

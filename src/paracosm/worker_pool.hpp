@@ -23,31 +23,22 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <thread>
 #include <vector>
 
-#include "util/hw_topo.hpp"
-
 namespace paracosm::engine {
 
-/// Topology-aware pool construction knobs (DESIGN.md §10).
+/// Pool construction knobs.
 struct PoolOptions {
   /// Epoch-poll iterations before a worker parks on the futex. The default
   /// favors low wake latency without monopolizing an oversubscribed core
   /// (the spin loop yields periodically).
   std::uint32_t spin_iters = 1024;
 
-  /// Pin each worker to its assigned CPU. Honored only when the topology's
-  /// CPU ids are real (source == kSysfs); emulated and flat topologies are
-  /// policy-only and never pinned.
+  /// Pin worker w to assign_workers(HwTopology::cached(), size())[w].cpu.
+  /// Honored only when that topology came from sysfs (real CPU ids); a flat
+  /// fallback topology is never pinned.
   bool pin = false;
-
-  /// Topology to place workers on. nullptr -> HwTopology::cached(). Tests
-  /// and the ablation pass HwTopology::emulated(...) here; the pointee must
-  /// outlive the pool only through the constructor (the pool copies what it
-  /// needs).
-  const util::HwTopology* topology = nullptr;
 };
 
 class WorkerPool {
@@ -79,27 +70,8 @@ class WorkerPool {
   /// Cumulative spin->park transitions across all workers since startup.
   [[nodiscard]] std::uint64_t total_parks() const noexcept;
 
-  // --- topology views (immutable after construction) -----------------------
-
-  /// Topology the pool was placed on (copy of the construction-time tree).
-  [[nodiscard]] const util::HwTopology& topology() const noexcept {
-    return topo_;
-  }
-  /// Per-worker CPU assignment (assign_workers over topology()).
-  [[nodiscard]] std::span<const util::TopoCpu> assignment() const noexcept {
-    return assignment_;
-  }
-  /// Distance-sorted victim lists over assignment(); executors hand this to
-  /// their TaskQueue. Lives as long as the pool.
-  [[nodiscard]] const util::VictimTable& victim_table() const noexcept {
-    return victims_;
-  }
-  /// Worker id → NUMA node of its assigned CPU (ShardedCursor's input).
-  [[nodiscard]] std::span<const std::uint8_t> node_map() const noexcept {
-    return node_map_;
-  }
   /// Workers actually pinned (pin requested, sysfs topology, all masks
-  /// accepted by the kernel).
+  /// accepted by the kernel). Final once the first run() has returned.
   [[nodiscard]] bool pinned() const noexcept {
     return pinned_.load(std::memory_order_relaxed);
   }
@@ -114,11 +86,7 @@ class WorkerPool {
   void worker_loop(unsigned id);
 
   const std::uint32_t spin_iters_;
-  util::HwTopology topo_;
-  std::vector<util::TopoCpu> assignment_;
-  util::VictimTable victims_;
-  std::vector<std::uint8_t> node_map_;
-  bool pin_ = false;
+  std::vector<unsigned> pin_cpus_;  ///< per-worker CPU; empty when not pinning
   std::atomic<bool> pinned_{false};
   std::unique_ptr<Slot[]> slots_;
   const std::function<void(unsigned)>* job_ = nullptr;

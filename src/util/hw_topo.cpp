@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
+#include <optional>
 #include <set>
-#include <sstream>
 #include <thread>
 
 #if defined(__linux__)
@@ -30,49 +28,6 @@ std::optional<long> read_int_file(const fs::path& p) {
   return v;
 }
 
-// Parse a kernel cpulist string ("0-3,8,10-11") into cpu ids. Returns
-// nullopt on malformed input; an empty list is valid (memoryless node).
-std::optional<std::vector<unsigned>> parse_cpulist(const std::string& text) {
-  std::vector<unsigned> out;
-  std::size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < text.size() && (std::isspace(static_cast<unsigned char>(text[i])) != 0)) ++i;
-  };
-  auto parse_num = [&]() -> std::optional<unsigned> {
-    skip_ws();
-    if (i >= text.size() || std::isdigit(static_cast<unsigned char>(text[i])) == 0)
-      return std::nullopt;
-    unsigned v = 0;
-    while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i])) != 0) {
-      v = v * 10 + static_cast<unsigned>(text[i] - '0');
-      ++i;
-    }
-    return v;
-  };
-  skip_ws();
-  if (i >= text.size()) return out;  // empty list
-  while (true) {
-    auto lo = parse_num();
-    if (!lo) return std::nullopt;
-    unsigned hi = *lo;
-    skip_ws();
-    if (i < text.size() && text[i] == '-') {
-      ++i;
-      auto h = parse_num();
-      if (!h || *h < *lo) return std::nullopt;
-      hi = *h;
-    }
-    for (unsigned c = *lo; c <= hi; ++c) out.push_back(c);
-    skip_ws();
-    if (i >= text.size()) break;
-    if (text[i] != ',') return std::nullopt;
-    ++i;
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 // Renumber arbitrary (possibly sparse) ids to dense 0-based indexes in
 // ascending id order, preserving relative order.
 template <typename Key>
@@ -83,82 +38,14 @@ std::map<Key, unsigned> densify(const std::set<Key>& keys) {
   return idx;
 }
 
-void finalize_counts(HwTopology& t) {
-  std::set<unsigned> nodes;
-  std::set<unsigned> packages;
-  std::set<unsigned> cores;
-  std::map<unsigned, unsigned> cpus_per_core;
-  for (const TopoCpu& c : t.cpus) {
-    nodes.insert(c.node);
-    packages.insert(c.package);
-    cores.insert(c.core);
-    ++cpus_per_core[c.core];
-  }
-  t.num_nodes = nodes.empty() ? 1 : static_cast<unsigned>(nodes.size());
-  t.num_packages = packages.empty() ? 1 : static_cast<unsigned>(packages.size());
-  t.num_cores = static_cast<unsigned>(cores.size());
-  t.smt = std::any_of(cpus_per_core.begin(), cpus_per_core.end(),
-                      [](const auto& kv) { return kv.second > 1; });
-}
-
 }  // namespace
 
 HwTopology HwTopology::flat(unsigned n) {
   HwTopology t;
   t.cpus.reserve(n);
-  for (unsigned i = 0; i < n; ++i) t.cpus.push_back(TopoCpu{i, i, 0, 0});
-  t.num_nodes = 1;
-  t.num_packages = 1;
-  t.num_cores = n;
-  t.smt = false;
+  for (unsigned i = 0; i < n; ++i) t.cpus.push_back(TopoCpu{i, i, 0});
   t.source = TopoSource::kFlat;
   return t;
-}
-
-HwTopology HwTopology::emulated(unsigned nodes, unsigned cpus_per_node,
-                                unsigned smt_ways) {
-  if (nodes == 0) nodes = 1;
-  if (cpus_per_node == 0) cpus_per_node = 1;
-  if (smt_ways == 0 || smt_ways > cpus_per_node) smt_ways = 1;
-  HwTopology t;
-  t.cpus.reserve(static_cast<std::size_t>(nodes) * cpus_per_node);
-  unsigned cores_per_node = (cpus_per_node + smt_ways - 1) / smt_ways;
-  for (unsigned nd = 0; nd < nodes; ++nd) {
-    for (unsigned i = 0; i < cpus_per_node; ++i) {
-      TopoCpu c;
-      c.cpu = nd * cpus_per_node + i;
-      c.core = nd * cores_per_node + i / smt_ways;
-      c.package = nd;
-      c.node = nd;
-      t.cpus.push_back(c);
-    }
-  }
-  finalize_counts(t);
-  t.source = TopoSource::kEmulated;
-  return t;
-}
-
-std::optional<HwTopology> HwTopology::parse_spec(const std::string& spec) {
-  unsigned vals[3] = {0, 0, 1};
-  int n_vals = 0;
-  std::size_t i = 0;
-  while (i < spec.size() && n_vals < 3) {
-    if (std::isdigit(static_cast<unsigned char>(spec[i])) == 0) return std::nullopt;
-    unsigned v = 0;
-    while (i < spec.size() && std::isdigit(static_cast<unsigned char>(spec[i])) != 0) {
-      v = v * 10 + static_cast<unsigned>(spec[i] - '0');
-      ++i;
-    }
-    vals[n_vals++] = v;
-    if (i == spec.size()) break;
-    if (spec[i] != 'x' && spec[i] != 'X') return std::nullopt;
-    ++i;
-    if (i == spec.size()) return std::nullopt;  // trailing separator
-  }
-  if (i != spec.size() || n_vals < 2) return std::nullopt;
-  if (vals[0] == 0 || vals[1] == 0 || vals[2] == 0) return std::nullopt;
-  if (static_cast<unsigned long long>(vals[0]) * vals[1] > 4096) return std::nullopt;
-  return emulated(vals[0], vals[1], vals[2]);
 }
 
 HwTopology HwTopology::from_sysfs(const std::string& sysfs_root,
@@ -190,40 +77,14 @@ HwTopology HwTopology::from_sysfs(const std::string& sysfs_root,
   }
   if (raw.empty()) return flat(affinity_cpu_count());
 
-  // NUMA node per cpu from node*/cpulist; absent tree → everything node 0.
-  std::map<unsigned, long> node_of;
-  const fs::path node_dir = fs::path(sysfs_root) / "devices" / "system" / "node";
-  if (fs::is_directory(node_dir, ec) && !ec) {
-    for (const auto& entry : fs::directory_iterator(node_dir, ec)) {
-      if (ec) break;
-      const std::string name = entry.path().filename().string();
-      if (name.size() <= 4 || name.compare(0, 4, "node") != 0) continue;
-      bool digits = std::all_of(name.begin() + 4, name.end(), [](char ch) {
-        return std::isdigit(static_cast<unsigned char>(ch)) != 0;
-      });
-      if (!digits) continue;
-      long nid = static_cast<long>(std::stoul(name.substr(4)));
-      std::ifstream in(entry.path() / "cpulist");
-      std::string text;
-      if (!in || !std::getline(in, text)) continue;
-      auto cpus = parse_cpulist(text);
-      if (!cpus) continue;
-      for (unsigned c : *cpus) node_of[c] = nid;
-    }
-  }
-
   std::set<long> pkg_ids;
   std::set<std::pair<long, long>> core_keys;  // (package, core_id)
-  std::set<long> node_ids;
   for (const auto& [id, pc] : raw) {
     pkg_ids.insert(pc.first);
     core_keys.insert(pc);
-    auto it = node_of.find(id);
-    node_ids.insert(it == node_of.end() ? 0 : it->second);
   }
   auto pkg_idx = densify(pkg_ids);
   auto core_idx = densify(core_keys);
-  auto node_idx = densify(node_ids);
 
   HwTopology t;
   t.cpus.reserve(raw.size());
@@ -232,19 +93,13 @@ HwTopology HwTopology::from_sysfs(const std::string& sysfs_root,
     c.cpu = id;
     c.package = pkg_idx.at(pc.first);
     c.core = core_idx.at(pc);
-    auto it = node_of.find(id);
-    c.node = node_idx.at(it == node_of.end() ? 0 : it->second);
     t.cpus.push_back(c);
   }
-  finalize_counts(t);
   t.source = TopoSource::kSysfs;
   return t;
 }
 
 HwTopology HwTopology::detect() {
-  if (const char* spec = std::getenv("PARACOSM_TOPOLOGY")) {
-    if (auto t = parse_spec(spec)) return *t;
-  }
   std::vector<unsigned> mask = affinity_cpus();
   HwTopology t = from_sysfs("/sys", mask);
   if (t.source == TopoSource::kSysfs) return t;
@@ -279,12 +134,6 @@ unsigned affinity_cpu_count() {
   return cpus.empty() ? 1u : static_cast<unsigned>(cpus.size());
 }
 
-StealDistance steal_distance(const TopoCpu& a, const TopoCpu& b) noexcept {
-  if (a.node != b.node) return StealDistance::kRemote;
-  if (a.core == b.core) return StealDistance::kLocal;
-  return StealDistance::kSameNode;
-}
-
 std::vector<TopoCpu> assign_workers(const HwTopology& topo, unsigned workers) {
   std::vector<TopoCpu> order = topo.cpus;
   if (order.empty()) {
@@ -292,8 +141,8 @@ std::vector<TopoCpu> assign_workers(const HwTopology& topo, unsigned workers) {
     order = f.cpus;
   }
   // smt_rank: the k-th logical CPU seen on a core (CPUs arrive in ascending
-  // os id, which is the kernel's sibling order). Sorting by (node, smt_rank,
-  // core) fills every node-local distinct core before any SMT sibling.
+  // os id, which is the kernel's sibling order). Sorting by (smt_rank, core)
+  // fills every distinct core before any SMT sibling.
   std::map<unsigned, unsigned> seen_on_core;
   std::vector<unsigned> smt_rank(order.size(), 0);
   {
@@ -310,7 +159,6 @@ std::vector<TopoCpu> assign_workers(const HwTopology& topo, unsigned workers) {
   std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
     const TopoCpu& ca = order[a];
     const TopoCpu& cb = order[b];
-    if (ca.node != cb.node) return ca.node < cb.node;
     if (smt_rank[a] != smt_rank[b]) return smt_rank[a] < smt_rank[b];
     if (ca.core != cb.core) return ca.core < cb.core;
     return ca.cpu < cb.cpu;
@@ -319,38 +167,6 @@ std::vector<TopoCpu> assign_workers(const HwTopology& topo, unsigned workers) {
   out.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) out.push_back(order[idx[w % idx.size()]]);
   return out;
-}
-
-VictimTable make_victim_table(std::span<const TopoCpu> assignment) {
-  VictimTable vt;
-  vt.n = static_cast<unsigned>(assignment.size());
-  if (vt.n == 0) return vt;
-  vt.dist.assign(static_cast<std::size_t>(vt.n) * vt.n, 0);
-  for (unsigned a = 0; a < vt.n; ++a)
-    for (unsigned b = 0; b < vt.n; ++b)
-      vt.dist[static_cast<std::size_t>(a) * vt.n + b] =
-          static_cast<std::uint8_t>(steal_distance(assignment[a], assignment[b]));
-  vt.order.reserve(static_cast<std::size_t>(vt.n) * (vt.n - 1));
-  vt.remote_begin.assign(vt.n, vt.n - 1);
-  for (unsigned w = 0; w < vt.n; ++w) {
-    std::vector<Victim> row;
-    row.reserve(vt.n - 1);
-    for (unsigned v = 0; v < vt.n; ++v) {
-      if (v == w) continue;
-      row.push_back(Victim{static_cast<std::uint16_t>(v), vt.distance(w, v)});
-    }
-    std::stable_sort(row.begin(), row.end(), [](const Victim& a, const Victim& b) {
-      return a.dist < b.dist;
-    });
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (row[i].dist == StealDistance::kRemote) {
-        vt.remote_begin[w] = static_cast<std::uint32_t>(i);
-        break;
-      }
-    }
-    vt.order.insert(vt.order.end(), row.begin(), row.end());
-  }
-  return vt;
 }
 
 bool pin_current_thread(unsigned cpu) {

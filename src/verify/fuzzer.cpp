@@ -184,20 +184,10 @@ std::vector<LaneConfig> default_lane_matrix(const std::vector<unsigned>& threads
   return lanes;
 }
 
-std::vector<LaneConfig> backend_lane_matrix(const std::vector<unsigned>& threads) {
-  std::vector<LaneConfig> lanes = default_lane_matrix(threads);
-  for (const engine::BatchBackendKind kind :
-       {engine::BatchBackendKind::kWide, engine::BatchBackendKind::kAuto})
-    for (const unsigned t : threads) lanes.push_back({Lane::kBatch, t, kind});
-  return lanes;
-}
-
 std::string Divergence::to_string() const {
   std::ostringstream os;
   os << "seed=" << seed << " alg=" << algorithm << " lane=" << lane_name(lane)
      << " threads=" << threads;
-  if (lane == Lane::kBatch && backend != engine::BatchBackendKind::kCpu)
-    os << " backend=" << engine::batch_backend_name(backend);
   if (scheduler != engine::Scheduler::kCentralQueue)
     os << " scheduler=" << engine::scheduler_name(scheduler);
   os << " query=" << query_index;
@@ -285,9 +275,6 @@ engine::Config lane_engine_config(const LaneConfig& lane) {
   // processing — the only mode a divergence is a bug in (kPaper may
   // legitimately act on stale snapshot verdicts).
   cfg.batch_mode = engine::BatchMode::kStrict;
-  // kCpu/kWide pin every batch to one backend so a divergence names the
-  // backend that produced it; kAuto cells mix both per batch size.
-  cfg.batch_backend = lane.backend;
   cfg.scheduler = lane.scheduler;
   // The verification matrix oversubscribes a single machine with up to 8
   // worker threads; park immediately instead of spinning for throughput.
@@ -341,7 +328,6 @@ std::optional<Divergence> check_cell(const FuzzCase& c, std::string_view algorit
   div.algorithm = std::string(algorithm);
   div.lane = lane.lane;
   div.threads = lane.threads;
-  div.backend = lane.backend;
   div.scheduler = lane.scheduler;
   div.query_index = query_index;
 

@@ -85,10 +85,6 @@ enum class Lane : std::uint8_t {
 struct LaneConfig {
   Lane lane = Lane::kSequential;
   unsigned threads = 1;
-  /// Batch-classification backend (kBatch lanes only; ignored elsewhere).
-  /// The differential `--backend` sweep runs each batch cell once per
-  /// backend and demands identical ΔM from both (DESIGN.md §11).
-  engine::BatchBackendKind backend = engine::BatchBackendKind::kCpu;
   /// Inner-update scheduler (kInner and kBatch lanes; DESIGN.md §4).
   engine::Scheduler scheduler = engine::Scheduler::kCentralQueue;
 };
@@ -99,21 +95,12 @@ struct LaneConfig {
 [[nodiscard]] std::vector<LaneConfig> default_lane_matrix(
     const std::vector<unsigned>& threads = {1, 2, 4, 8});
 
-/// The default matrix with every batch cell tripled: once on the cpu
-/// backend, once on the wide (AVX2/SWAR) backend, once under kAuto's
-/// per-batch cpu/wide routing. All cells reconcile against the same oracle
-/// trace, so a verdict divergence between backends surfaces as a ΔM
-/// divergence in exactly the cells that ran the faulty one.
-[[nodiscard]] std::vector<LaneConfig> backend_lane_matrix(
-    const std::vector<unsigned>& threads = {1, 2, 4, 8});
-
 /// One reconciliation failure, with everything needed to reproduce it.
 struct Divergence {
   std::uint64_t seed = 0;
   std::string algorithm;
   Lane lane = Lane::kSequential;
   unsigned threads = 1;
-  engine::BatchBackendKind backend = engine::BatchBackendKind::kCpu;
   engine::Scheduler scheduler = engine::Scheduler::kCentralQueue;
   std::uint32_t query_index = 0;
   /// Update at which the divergence was detected (per-update lanes only;
@@ -124,7 +111,7 @@ struct Divergence {
   [[nodiscard]] std::string to_string() const;
   /// The cell that diverged, for re-running it.
   [[nodiscard]] LaneConfig lane_config() const {
-    return {lane, threads, backend, scheduler};
+    return {lane, threads, scheduler};
   }
 };
 

@@ -28,8 +28,6 @@ void save_repro(const Repro& r, std::ostream& out) {
     out << "meta algorithm " << r.cell->algorithm << '\n';
     out << "meta lane " << lane_name(r.cell->lane) << '\n';
     out << "meta threads " << r.cell->threads << '\n';
-    if (r.cell->backend != engine::BatchBackendKind::kCpu)
-      out << "meta backend " << engine::batch_backend_name(r.cell->backend) << '\n';
     if (r.cell->scheduler != engine::Scheduler::kCentralQueue)
       out << "meta scheduler " << engine::scheduler_name(r.cell->scheduler) << '\n';
     out << "meta query " << r.cell->query_index << '\n';
@@ -92,12 +90,6 @@ Repro load_repro(std::istream& in) {
       cell.lane = *lane;
     } else if (key == "threads") {
       ls >> cell.threads;
-    } else if (key == "backend") {
-      std::string name;
-      ls >> name;
-      const auto kind = engine::parse_batch_backend(name);
-      if (!kind) throw std::runtime_error("repro: unknown backend '" + name + "'");
-      cell.backend = *kind;
     } else if (key == "scheduler") {
       std::string name;
       ls >> name;

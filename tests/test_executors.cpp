@@ -4,16 +4,25 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "paracosm/cl_deque.hpp"
 #include "paracosm/inner_executor.hpp"
 #include "paracosm/task_queue.hpp"
 #include "paracosm/worker_pool.hpp"
 #include "tests/test_support.hpp"
+#include "util/hw_topo.hpp"
 
 namespace paracosm::engine {
 namespace {
@@ -22,11 +31,6 @@ csm::SearchTask make_task(std::uint32_t depth) {
   csm::SearchTask t;
   for (std::uint32_t i = 0; i < depth; ++i) t.assigned.push_back({i, i});
   return t;
-}
-
-/// Victim table of an n-worker single-node machine (empty remote tier).
-util::VictimTable flat_victims(unsigned n) {
-  return util::make_victim_table(util::assign_workers(util::HwTopology::flat(n), n));
 }
 
 constexpr std::array<Scheduler, 3> kSchedulers = {
@@ -98,8 +102,7 @@ TEST(ChaseLevDeque, ConcurrentStealsClaimEveryElementExactlyOnce) {
 }
 
 TEST(TaskQueue, SeedTryPopRetireSingleThread) {
-  const util::VictimTable victims = flat_victims(1);
-  TaskQueue queue(victims);
+  TaskQueue queue(1);
   queue.seed(make_task(2));
   queue.seed(make_task(3));
   EXPECT_EQ(queue.approx_size(), 2u);
@@ -117,15 +120,13 @@ TEST(TaskQueue, SeedTryPopRetireSingleThread) {
 }
 
 TEST(TaskQueue, TryPopOnEmptyReturnsNullopt) {
-  const util::VictimTable victims = flat_victims(4);
-  TaskQueue queue(victims);
+  TaskQueue queue(4);
   EXPECT_FALSE(queue.try_pop().has_value());
   EXPECT_FALSE(queue.pop_or_finish(2).has_value());
 }
 
 TEST(TaskQueue, OwnerPushIsLifoForOwnerFifoForTryPop) {
-  const util::VictimTable victims = flat_victims(2);
-  TaskQueue queue(victims);
+  TaskQueue queue(2);
   queue.push(0, make_task(1));
   queue.push(0, make_task(2));
   queue.push(0, make_task(3));
@@ -145,8 +146,7 @@ TEST(TaskQueue, OwnerPushIsLifoForOwnerFifoForTryPop) {
 
 TEST(TaskQueue, MpmcStressCompletesAllTasks) {
   constexpr unsigned kWorkers = 4;
-  const util::VictimTable victims = flat_victims(kWorkers);
-  TaskQueue queue(victims, 16);
+  TaskQueue queue(kWorkers, 16);
   constexpr int kSeeds = 64;
   constexpr int kChildrenPerSeed = 16;
   for (int i = 0; i < kSeeds; ++i) queue.seed(make_task(1));
@@ -168,13 +168,85 @@ TEST(TaskQueue, MpmcStressCompletesAllTasks) {
   EXPECT_EQ(queue.in_flight(), 0);
   EXPECT_EQ(queue.approx_size(), 0u);
 
-  // Scheduler counters drained into WorkerStats; on a flat machine every
-  // steal is priced same-node or local.
+  // Scheduler counters drained into WorkerStats.
   WorkerStats ws;
   for (unsigned w = 0; w < kWorkers; ++w) queue.export_counters(w, ws);
   EXPECT_GE(ws.steals_attempted, ws.steals_succeeded);
-  EXPECT_EQ(ws.steals_remote, 0u);
-  EXPECT_EQ(ws.steals_local + ws.steals_same_node, ws.steals_succeeded);
+}
+
+struct StealOutcome {
+  bool taken = false;       ///< the thief popped the owner's task
+  std::uint64_t parks = 0;  ///< times the thief parked before taking it
+};
+
+/// An n-worker queue whose only task sits in `owner`'s deque, pushed once
+/// `thief` has gone idle (and, after `settle`, usually parked): does the
+/// thief take it? The owner role runs on the calling thread.
+StealOutcome push_to_idle_thief(unsigned n, unsigned owner, unsigned thief,
+                                std::uint32_t spin_iters,
+                                std::chrono::microseconds settle) {
+  TaskQueue queue(n, spin_iters);
+  // Keep the tree alive without a stealable task: the owner pops its first
+  // task and holds it (in flight, not pending) until the end.
+  queue.push(owner, make_task(1));
+  const std::optional<csm::SearchTask> held = queue.pop_or_finish(owner);
+  EXPECT_TRUE(held.has_value());
+
+  std::optional<csm::SearchTask> got;
+  std::promise<void> returned;
+  std::future<void> returned_f = returned.get_future();
+  std::thread t([&] {
+    got = queue.pop_or_finish(thief);
+    returned.set_value();
+  });
+  while (!queue.has_idle_workers()) std::this_thread::yield();
+  std::this_thread::sleep_for(settle);
+  queue.push(owner, make_task(2));
+  if (returned_f.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    // The thief never reached the owner's deque: take the task back and
+    // retire everything so its pop_or_finish returns empty-handed.
+    if (queue.pop_or_finish(owner)) queue.retire();
+  }
+  queue.retire();  // `held`
+  t.join();
+  if (got) queue.retire();
+
+  WorkerStats ws;
+  queue.export_counters(thief, ws);
+  return {got.has_value() && got->depth() == 2, ws.parks};
+}
+
+// The sweep and the wake both cover every other worker: for each owner/thief
+// pair, a task only the owner holds is taken by the thief, whether the
+// thief is still spinning or has parked.
+TEST(TaskQueue, ThiefReachesEveryOwnerSpinningOrParked) {
+  constexpr std::uint32_t kNeverPark = std::numeric_limits<std::uint32_t>::max();
+  for (const unsigned n : {2u, 3u, 4u, 8u}) {
+    for (unsigned owner = 0; owner < n; ++owner) {
+      for (unsigned thief = 0; thief < n; ++thief) {
+        if (thief == owner) continue;
+        const StealOutcome spinning =
+            push_to_idle_thief(n, owner, thief, kNeverPark, {});
+        EXPECT_TRUE(spinning.taken)
+            << "spinning n=" << n << " owner=" << owner << " thief=" << thief;
+        EXPECT_EQ(spinning.parks, 0u);
+        for (const std::uint32_t spin : {0u, 1u}) {
+          // Parking follows going idle within microseconds; a settle that
+          // grows per attempt covers a descheduled thief.
+          bool parked = false;
+          for (int attempt = 1; attempt <= 10 && !parked; ++attempt) {
+            const StealOutcome o = push_to_idle_thief(
+                n, owner, thief, spin, std::chrono::milliseconds(attempt));
+            EXPECT_TRUE(o.taken) << "spin=" << spin << " n=" << n
+                                 << " owner=" << owner << " thief=" << thief;
+            parked = o.parks > 0;
+          }
+          EXPECT_TRUE(parked) << "spin=" << spin << " n=" << n << " owner=" << owner
+                              << " thief=" << thief << " never parked";
+        }
+      }
+    }
+  }
 }
 
 TEST(WorkerPool, RunsJobOnEveryWorker) {
@@ -209,6 +281,26 @@ TEST(WorkerPool, ReportsDispatchOverhead) {
     EXPECT_GE(pool.last_dispatch_ns(), 0);
   }
   EXPECT_EQ(total.load(), 30);
+}
+
+// Pinning places worker w on assign_workers(cached topology)[w]; it needs
+// real CPU ids, so it is tested only where the topology came from sysfs.
+TEST(WorkerPool, PinnedWorkersRunOnTheirAssignedCpus) {
+#if defined(__linux__)
+  const util::HwTopology& topo = util::HwTopology::cached();
+  if (topo.source != util::TopoSource::kSysfs)
+    GTEST_SKIP() << "topology did not come from sysfs";
+  const unsigned n = topo.num_cpus();
+  const std::vector<util::TopoCpu> want = util::assign_workers(topo, n);
+  WorkerPool pool(n, PoolOptions{.pin = true});
+  std::vector<int> seen(n, -1);
+  pool.run([&](unsigned wid) { seen[wid] = sched_getcpu(); });
+  EXPECT_TRUE(pool.pinned());
+  for (unsigned w = 0; w < n; ++w)
+    EXPECT_EQ(seen[w], static_cast<int>(want[w].cpu)) << "worker " << w;
+#else
+  GTEST_SKIP() << "pinning is Linux-only";
+#endif
 }
 
 TEST(WorkerPool, ParksWhenSpinBudgetIsZero) {

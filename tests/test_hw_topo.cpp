@@ -1,6 +1,5 @@
-// Topology-layer tests (DESIGN.md §10): sysfs parsing against canned trees
-// written to a temp dir, graceful degradation, affinity restriction, worker
-// assignment packing, and distance-sorted victim tables.
+// Topology-layer tests: sysfs parsing against canned trees written to a temp
+// dir, graceful degradation, affinity restriction and worker placement.
 #include "util/hw_topo.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +7,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -43,13 +43,6 @@ class SysfsFixture : public ::testing::Test {
                            ("cpu" + std::to_string(id)));
   }
 
-  void add_node(unsigned id, const std::string& cpulist) {
-    const fs::path node =
-        root_ / "devices" / "system" / "node" / ("node" + std::to_string(id));
-    fs::create_directories(node);
-    write(node / "cpulist", cpulist);
-  }
-
   /// Distractor entries the cpu-dir scan must skip.
   void add_noise() {
     fs::create_directories(root_ / "devices" / "system" / "cpu" / "cpufreq");
@@ -74,53 +67,34 @@ const TopoCpu* find_cpu(const HwTopology& t, unsigned os_id) {
   return nullptr;
 }
 
+unsigned distinct_cores(const HwTopology& t) {
+  std::set<unsigned> cores;
+  for (const TopoCpu& c : t.cpus) cores.insert(c.core);
+  return static_cast<unsigned>(cores.size());
+}
+
+unsigned distinct_packages(const HwTopology& t) {
+  std::set<unsigned> packages;
+  for (const TopoCpu& c : t.cpus) packages.insert(c.package);
+  return static_cast<unsigned>(packages.size());
+}
+
+/// Hand-made topology: cpu i sits on core core_of[i], package 0.
+HwTopology make_topology(const std::vector<unsigned>& core_of) {
+  HwTopology t;
+  for (unsigned i = 0; i < core_of.size(); ++i)
+    t.cpus.push_back(TopoCpu{i, core_of[i], 0});
+  t.source = TopoSource::kSysfs;
+  return t;
+}
+
 // --- synthetic shapes -------------------------------------------------------
 
 TEST(HwTopo, FlatShape) {
   const HwTopology t = HwTopology::flat(4);
   EXPECT_EQ(t.num_cpus(), 4u);
-  EXPECT_EQ(t.num_nodes, 1u);
-  EXPECT_EQ(t.num_cores, 4u);
-  EXPECT_FALSE(t.smt);
+  EXPECT_EQ(distinct_cores(t), 4u);
   EXPECT_EQ(t.source, TopoSource::kFlat);
-  for (const TopoCpu& c : t.cpus) EXPECT_EQ(c.node, 0u);
-}
-
-TEST(HwTopo, EmulatedTwoNode) {
-  const HwTopology t = HwTopology::emulated(2, 4);
-  EXPECT_EQ(t.num_cpus(), 8u);
-  EXPECT_EQ(t.num_nodes, 2u);
-  EXPECT_EQ(t.num_cores, 8u);
-  EXPECT_FALSE(t.smt);
-  EXPECT_EQ(t.source, TopoSource::kEmulated);
-  EXPECT_EQ(find_cpu(t, 3)->node, 0u);
-  EXPECT_EQ(find_cpu(t, 4)->node, 1u);
-}
-
-TEST(HwTopo, EmulatedSmt) {
-  const HwTopology t = HwTopology::emulated(2, 4, 2);
-  EXPECT_EQ(t.num_cpus(), 8u);
-  EXPECT_EQ(t.num_nodes, 2u);
-  EXPECT_EQ(t.num_cores, 4u);  // 2 cores per node, 2 siblings each
-  EXPECT_TRUE(t.smt);
-  // cpus 0,1 share core 0; cpus 2,3 share core 1.
-  EXPECT_EQ(find_cpu(t, 0)->core, find_cpu(t, 1)->core);
-  EXPECT_NE(find_cpu(t, 1)->core, find_cpu(t, 2)->core);
-}
-
-TEST(HwTopo, ParseSpec) {
-  ASSERT_TRUE(HwTopology::parse_spec("2x4").has_value());
-  EXPECT_EQ(HwTopology::parse_spec("2x4")->num_nodes, 2u);
-  ASSERT_TRUE(HwTopology::parse_spec("2x8x2").has_value());
-  EXPECT_TRUE(HwTopology::parse_spec("2x8x2")->smt);
-  EXPECT_FALSE(HwTopology::parse_spec("").has_value());
-  EXPECT_FALSE(HwTopology::parse_spec("2x").has_value());
-  EXPECT_FALSE(HwTopology::parse_spec("x4").has_value());
-  EXPECT_FALSE(HwTopology::parse_spec("2x4x2x2").has_value());
-  EXPECT_FALSE(HwTopology::parse_spec("abc").has_value());
-  EXPECT_FALSE(HwTopology::parse_spec("0x4").has_value());
-  EXPECT_FALSE(HwTopology::parse_spec("4").has_value());
-  EXPECT_FALSE(HwTopology::parse_spec("100000x100000").has_value());
 }
 
 // --- sysfs parsing ----------------------------------------------------------
@@ -131,37 +105,29 @@ TEST_F(SysfsFixture, SingleSocketNoNodeDir) {
   const HwTopology t = HwTopology::from_sysfs(root());
   EXPECT_EQ(t.source, TopoSource::kSysfs);
   EXPECT_EQ(t.num_cpus(), 4u);
-  EXPECT_EQ(t.num_nodes, 1u);
-  EXPECT_EQ(t.num_packages, 1u);
-  EXPECT_EQ(t.num_cores, 4u);
-  EXPECT_FALSE(t.smt);
+  EXPECT_EQ(distinct_packages(t), 1u);
+  EXPECT_EQ(distinct_cores(t), 4u);
 }
 
 TEST_F(SysfsFixture, TwoSocketWithNodes) {
   for (unsigned i = 0; i < 4; ++i) add_cpu(i, 0, static_cast<long>(i));
   for (unsigned i = 4; i < 8; ++i) add_cpu(i, 1, static_cast<long>(i - 4));
-  add_node(0, "0-3");
-  add_node(1, "4-7");
   const HwTopology t = HwTopology::from_sysfs(root());
   EXPECT_EQ(t.num_cpus(), 8u);
-  EXPECT_EQ(t.num_nodes, 2u);
-  EXPECT_EQ(t.num_packages, 2u);
-  EXPECT_EQ(t.num_cores, 8u);  // same core_id on different packages = distinct
-  EXPECT_EQ(find_cpu(t, 2)->node, 0u);
-  EXPECT_EQ(find_cpu(t, 6)->node, 1u);
+  EXPECT_EQ(distinct_packages(t), 2u);
+  EXPECT_EQ(distinct_cores(t), 8u);  // same core_id on different packages = distinct
+  EXPECT_EQ(find_cpu(t, 2)->package, 0u);
+  EXPECT_EQ(find_cpu(t, 6)->package, 1u);
   EXPECT_NE(find_cpu(t, 0)->core, find_cpu(t, 4)->core);
 }
 
 TEST_F(SysfsFixture, SmtSiblingsShareCore) {
-  // cpulist with a comma: node covers both sibling ranges.
   add_cpu(0, 0, 0);
   add_cpu(1, 0, 1);
   add_cpu(2, 0, 0);  // SMT sibling of cpu0
   add_cpu(3, 0, 1);  // SMT sibling of cpu1
-  add_node(0, "0-1,2-3");
   const HwTopology t = HwTopology::from_sysfs(root());
-  EXPECT_TRUE(t.smt);
-  EXPECT_EQ(t.num_cores, 2u);
+  EXPECT_EQ(distinct_cores(t), 2u);
   EXPECT_EQ(find_cpu(t, 0)->core, find_cpu(t, 2)->core);
   EXPECT_EQ(find_cpu(t, 1)->core, find_cpu(t, 3)->core);
   EXPECT_NE(find_cpu(t, 0)->core, find_cpu(t, 1)->core);
@@ -172,7 +138,6 @@ TEST_F(SysfsFixture, HotplugHoleInCpuList) {
   add_cpu(1, 0, 1);
   // cpu2 offline/hotplugged out: directory absent entirely.
   add_cpu(3, 0, 3);
-  add_node(0, "0-1,3");
   const HwTopology t = HwTopology::from_sysfs(root());
   EXPECT_EQ(t.num_cpus(), 3u);
   EXPECT_EQ(find_cpu(t, 2), nullptr);
@@ -183,7 +148,7 @@ TEST_F(SysfsFixture, SparsePackageIdsAreDensified) {
   add_cpu(0, 3, 0);
   add_cpu(1, 7, 0);
   const HwTopology t = HwTopology::from_sysfs(root());
-  EXPECT_EQ(t.num_packages, 2u);
+  EXPECT_EQ(distinct_packages(t), 2u);
   EXPECT_EQ(find_cpu(t, 0)->package, 0u);
   EXPECT_EQ(find_cpu(t, 1)->package, 1u);
 }
@@ -194,27 +159,23 @@ TEST_F(SysfsFixture, MissingTopologyAttrsDegradePerCpu) {
   const HwTopology t = HwTopology::from_sysfs(root());
   EXPECT_EQ(t.source, TopoSource::kSysfs);
   EXPECT_EQ(t.num_cpus(), 2u);
-  EXPECT_EQ(t.num_cores, 2u);  // core = own cpu id fallback
-  EXPECT_FALSE(t.smt);
+  EXPECT_EQ(distinct_cores(t), 2u);  // core = own cpu id fallback
 }
 
 TEST_F(SysfsFixture, MissingTreeFallsBackToFlat) {
   const HwTopology t = HwTopology::from_sysfs(root() + "/does_not_exist");
   EXPECT_EQ(t.source, TopoSource::kFlat);
   EXPECT_GE(t.num_cpus(), 1u);
-  EXPECT_EQ(t.num_nodes, 1u);
 }
 
 TEST_F(SysfsFixture, AffinityMaskRestrictsCpus) {
   for (unsigned i = 0; i < 8; ++i) add_cpu(i, i / 4, static_cast<long>(i % 4));
-  add_node(0, "0-3");
-  add_node(1, "4-7");
   const std::vector<unsigned> allowed = {1, 2, 5};
   const HwTopology t = HwTopology::from_sysfs(root(), allowed);
   EXPECT_EQ(t.num_cpus(), 3u);
   EXPECT_EQ(find_cpu(t, 0), nullptr);
   EXPECT_NE(find_cpu(t, 5), nullptr);
-  EXPECT_EQ(t.num_nodes, 2u);
+  EXPECT_EQ(distinct_packages(t), 2u);
 }
 
 TEST(HwTopo, AffinityCpuCountPositive) {
@@ -227,7 +188,6 @@ TEST(HwTopo, AffinityCpuCountPositive) {
 TEST(HwTopo, DetectNeverFails) {
   const HwTopology t = HwTopology::detect();
   EXPECT_GE(t.num_cpus(), 1u);
-  EXPECT_GE(t.num_nodes, 1u);
   const HwTopology& c = HwTopology::cached();
   EXPECT_EQ(c.num_cpus(), t.num_cpus());
 }
@@ -235,8 +195,8 @@ TEST(HwTopo, DetectNeverFails) {
 // --- worker assignment ------------------------------------------------------
 
 TEST(HwTopo, AssignFillsCoresBeforeSmtSiblings) {
-  // 1 node, 2 cores, 2-way SMT: cpus (0,1)=core0, (2,3)=core1.
-  const HwTopology t = HwTopology::emulated(1, 4, 2);
+  // 2 cores, 2-way SMT: cpus (0,1)=core0, (2,3)=core1.
+  const HwTopology t = make_topology({0, 0, 1, 1});
   const auto a = assign_workers(t, 4);
   ASSERT_EQ(a.size(), 4u);
   // First two workers land on distinct cores; SMT siblings only after.
@@ -245,84 +205,13 @@ TEST(HwTopo, AssignFillsCoresBeforeSmtSiblings) {
   EXPECT_EQ(a[3].core, a[1].core);
 }
 
-TEST(HwTopo, AssignFillsNodeBeforeNextNode) {
-  const HwTopology t = HwTopology::emulated(2, 4);
-  const auto a = assign_workers(t, 8);
-  ASSERT_EQ(a.size(), 8u);
-  for (unsigned w = 0; w < 4; ++w) EXPECT_EQ(a[w].node, 0u) << "worker " << w;
-  for (unsigned w = 4; w < 8; ++w) EXPECT_EQ(a[w].node, 1u) << "worker " << w;
-}
-
 TEST(HwTopo, AssignWrapsWhenOversubscribed) {
-  const HwTopology t = HwTopology::emulated(1, 2);
+  const HwTopology t = make_topology({0, 1});
   const auto a = assign_workers(t, 5);
   ASSERT_EQ(a.size(), 5u);
   EXPECT_EQ(a[0].cpu, a[2].cpu);
   EXPECT_EQ(a[1].cpu, a[3].cpu);
   EXPECT_EQ(a[0].cpu, a[4].cpu);
-}
-
-// --- victim tables ----------------------------------------------------------
-
-TEST(HwTopo, StealDistanceTiers) {
-  const TopoCpu a{0, 0, 0, 0};
-  const TopoCpu sibling{1, 0, 0, 0};
-  const TopoCpu neighbor{2, 1, 0, 0};
-  const TopoCpu remote{4, 2, 1, 1};
-  EXPECT_EQ(steal_distance(a, sibling), StealDistance::kLocal);
-  EXPECT_EQ(steal_distance(a, neighbor), StealDistance::kSameNode);
-  EXPECT_EQ(steal_distance(a, remote), StealDistance::kRemote);
-}
-
-TEST(HwTopo, VictimListsAreDistanceSorted) {
-  const HwTopology t = HwTopology::emulated(2, 4, 2);
-  const auto a = assign_workers(t, 8);
-  const VictimTable vt = make_victim_table(a);
-  ASSERT_EQ(vt.n, 8u);
-  EXPECT_TRUE(vt.has_remote());
-  for (unsigned w = 0; w < vt.n; ++w) {
-    const auto row = vt.of(w);
-    ASSERT_EQ(row.size(), 7u);
-    for (std::size_t i = 1; i < row.size(); ++i)
-      EXPECT_LE(static_cast<int>(row[i - 1].dist), static_cast<int>(row[i].dist))
-          << "worker " << w << " victim slot " << i;
-    // remote_begin points at the first kRemote entry.
-    const std::uint32_t rb = vt.remote_begin[w];
-    for (std::uint32_t i = 0; i < rb; ++i)
-      EXPECT_NE(row[i].dist, StealDistance::kRemote);
-    for (std::uint32_t i = rb; i < row.size(); ++i)
-      EXPECT_EQ(row[i].dist, StealDistance::kRemote);
-    // Distance matrix agrees with the sorted list.
-    for (const Victim& v : row)
-      EXPECT_EQ(vt.distance(w, v.wid), v.dist);
-  }
-  // 8 workers over 2 nodes of 4: each worker sees 3 near, 4 remote victims.
-  for (unsigned w = 0; w < vt.n; ++w) EXPECT_EQ(vt.remote_begin[w], 3u);
-}
-
-TEST(HwTopo, VictimTableFlatHasNoRemote) {
-  const HwTopology t = HwTopology::flat(4);
-  const auto a = assign_workers(t, 4);
-  const VictimTable vt = make_victim_table(a);
-  EXPECT_FALSE(vt.has_remote());
-  for (unsigned w = 0; w < vt.n; ++w) {
-    EXPECT_EQ(vt.remote_begin[w], 3u);
-    for (const Victim& v : vt.of(w))
-      EXPECT_EQ(v.dist, StealDistance::kSameNode);
-  }
-}
-
-TEST(HwTopo, VictimTableSmtSiblingFirst) {
-  // 1 node, 2 cores, 2-way SMT, 4 workers: worker w's first victim shares
-  // its core.
-  const HwTopology t = HwTopology::emulated(1, 4, 2);
-  const auto a = assign_workers(t, 4);
-  const VictimTable vt = make_victim_table(a);
-  for (unsigned w = 0; w < 4; ++w) {
-    const auto row = vt.of(w);
-    EXPECT_EQ(row[0].dist, StealDistance::kLocal) << "worker " << w;
-    EXPECT_EQ(a[row[0].wid].core, a[w].core) << "worker " << w;
-  }
 }
 
 }  // namespace

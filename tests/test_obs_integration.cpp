@@ -137,10 +137,10 @@ TEST(ObsIntegration, SpanTreeMatchesEngineAccounting) {
   EXPECT_EQ(trace.count(EventKind::kSafeApply), res.safe_applied);
   EXPECT_EQ(trace.count(EventKind::kBatch), res.batches);
   EXPECT_GE(trace.count(EventKind::kClassify), res.updates_processed);
-  // One kBatchBackend completion per classified batch, and the per-backend
-  // counters partition the stream's batches exactly (DESIGN.md §11).
+  // One kBatchBackend completion per classified batch, matching the
+  // classify-pass counters.
   EXPECT_EQ(trace.count(EventKind::kBatchBackend), res.batches);
-  EXPECT_EQ(res.backend_cpu.batches + res.backend_wide.batches, res.batches);
+  EXPECT_EQ(res.backend_cpu.batches, res.batches);
   EXPECT_GT(res.unsafe_sequential, 0u) << "stream exercised no searches";
   EXPECT_GT(res.safe_applied, 0u) << "stream exercised no batch fast path";
 
@@ -195,48 +195,25 @@ TEST(ObsIntegration, SpanTreeMatchesEngineAccounting) {
   EXPECT_NE(buf.str().find("\"name\":\"batch\""), std::string::npos);
 }
 
-// ------------------------------------------------ backend counter conservation
+// ----------------------------------------------- classify counter conservation
 
 TEST(ObsIntegration, BackendCountersConserveStreamAccounting) {
   TraceLevelGuard guard;
-  for (const auto kind :
-       {engine::BatchBackendKind::kCpu, engine::BatchBackendKind::kWide,
-        engine::BatchBackendKind::kAuto}) {
-    testing::SmallWorkload wl = fixed_workload();
-    const auto alg = csm::make_algorithm("graphflow");
-    engine::Config cfg = fast_config(4);
-    cfg.batch_backend = kind;
-    engine::ParaCosm pc(*alg, wl.query, wl.graph, cfg);
-    const engine::StreamResult res = pc.process_stream(wl.stream);
+  testing::SmallWorkload wl = fixed_workload();
+  const auto alg = csm::make_algorithm("graphflow");
+  engine::ParaCosm pc(*alg, wl.query, wl.graph, fast_config(4));
+  const engine::StreamResult res = pc.process_stream(wl.stream);
 
-    const engine::BatchBackendStats& bc = res.backend_cpu;
-    const engine::BatchBackendStats& bw = res.backend_wide;
-    // Every batch is classified by exactly one backend; every classified
-    // lane lands in exactly one verdict bucket; every wide lane is resolved
-    // exactly once (prepass, mask stage, or scalar fallback).
-    EXPECT_EQ(bc.batches + bw.batches, res.batches);
-    for (const engine::BatchBackendStats* s : {&bc, &bw})
-      EXPECT_EQ(s->lanes,
-                s->safe_label + s->safe_degree + s->safe_ads + s->unsafe_lanes);
-    EXPECT_EQ(bw.lanes, bw.wide_resolved() + bw.scalar_fallbacks);
-    EXPECT_EQ(bw.batches, bw.avx2_batches + bw.swar_batches);
-    // Deferred updates are re-classified in a later batch, so classified
-    // lanes can only exceed the processed-update count.
-    EXPECT_GE(bc.lanes + bw.lanes, res.updates_processed);
-#ifdef PARACOSM_VERIFY
-    // One shadow diff per wide batch; a divergence throws, so a finished
-    // stream implies every diff ran clean.
-    EXPECT_EQ(bw.verify_diffs, bw.batches);
-#else
-    EXPECT_EQ(bw.verify_diffs, 0u);
-#endif
-    if (kind == engine::BatchBackendKind::kCpu) {
-      EXPECT_EQ(bw.batches, 0u);
-    }
-    if (kind == engine::BatchBackendKind::kWide) {
-      EXPECT_EQ(bc.batches, 0u);
-    }
-  }
+  const engine::BatchBackendStats& b = res.backend_cpu;
+  // One classify pass per batch; every classified lane lands in exactly one
+  // verdict bucket.
+  EXPECT_EQ(b.batches, res.batches);
+  EXPECT_EQ(b.lanes, b.safe_label + b.safe_degree + b.safe_ads + b.unsafe_lanes);
+  // Deferred updates are re-classified in a later batch, so classified
+  // lanes can only exceed the processed-update count.
+  EXPECT_GE(b.lanes, res.updates_processed);
+  EXPECT_EQ(res.backend_wide.batches, 0u);
+  EXPECT_EQ(res.backend_wide.lanes, 0u);
 }
 
 // ------------------------------------------- tracing is purely observational

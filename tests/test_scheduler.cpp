@@ -93,16 +93,10 @@ TEST_P(SchedulerTortureTest, AllExecutorsDeliverIdenticalMatchSets) {
     std::unique_ptr<WorkerPool> pool;
     std::vector<std::unique_ptr<InnerExecutor>> executors;
   };
-  // Policy-only emulated 2-node topology (never pins): the tiered victim
-  // order must deliver the exact same byte-identical match stream as
-  // sequential enumeration — distance ordering is a performance policy, not
-  // a semantic one.
-  const util::HwTopology topo = util::HwTopology::emulated(2, 4);
   std::vector<Rig> rigs;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     Rig rig;
-    rig.pool = std::make_unique<WorkerPool>(
-        threads, PoolOptions{.spin_iters = kSpin, .topology = &topo});
+    rig.pool = std::make_unique<WorkerPool>(threads, kSpin);
     rig.executors = all_executors(*rig.pool, tc.split_depth);
     rigs.push_back(std::move(rig));
   }
@@ -122,11 +116,7 @@ TEST_P(SchedulerTortureTest, AllExecutorsDeliverIdenticalMatchSets) {
         const InnerRunResult r = executor->run(*alg, seeds, {}, &got.fn);
         EXPECT_EQ(got.matches, expected) << where;
         EXPECT_EQ(r.matches, expected.size()) << where;
-        // Per-distance counters partition successful steals.
-        const ParallelStats& st = r.stats;
-        EXPECT_EQ(st.total_steals_local() + st.total_steals_same_node() +
-                      st.total_steals_remote(),
-                  st.total_steals_succeeded())
+        EXPECT_GE(r.stats.total_steals_attempted(), r.stats.total_steals_succeeded())
             << where;
       }
     }

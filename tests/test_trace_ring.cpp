@@ -238,7 +238,7 @@ TEST(ChromeTrace, GoldenSerializationIsByteStable) {
   worker.pushed = 2;
   worker.events = {
       make_event(EventKind::kUpdate, 2000, 1500, 1, 2, 3),
-      make_event(EventKind::kSteal, 3500, -1, 4, 5, 2),
+      make_event(EventKind::kSteal, 3500, -1, 4, 5),
   };
   RingSnapshot main_lane;
   main_lane.tid = 0;
@@ -254,7 +254,7 @@ TEST(ChromeTrace, GoldenSerializationIsByteStable) {
       "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":0.000,\"dur\":1.500,"
       "\"name\":\"update\",\"cat\":\"engine\",\"args\":{\"op\":1,\"u\":2,\"v\":3}},\n"
       "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"ts\":1.500,\"s\":\"t\","
-      "\"name\":\"steal\",\"cat\":\"sched\",\"args\":{\"victim\":4,\"thief\":5,\"distance\":2}}\n"
+      "\"name\":\"steal\",\"cat\":\"sched\",\"args\":{\"victim\":4,\"thief\":5}}\n"
       "]}\n";
   EXPECT_EQ(got, want);
 

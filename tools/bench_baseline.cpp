@@ -31,8 +31,6 @@
 #include "paracosm/paracosm.hpp"
 #include "service/service.hpp"
 #include "util/cli.hpp"
-#include "util/hw_topo.hpp"
-#include "util/numa_alloc.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -175,10 +173,6 @@ std::vector<MacroResult> run_macro(double scale, std::uint32_t queries,
 struct SchedulerResult {
   std::uint64_t steals_attempted = 0;
   std::uint64_t steals_succeeded = 0;
-  std::uint64_t steals_local = 0;      ///< SMT-sibling victims
-  std::uint64_t steals_same_node = 0;  ///< same NUMA node, different core
-  std::uint64_t steals_remote = 0;     ///< cross-node
-  double remote_steal_share = 0;
   std::uint64_t offloads = 0;  ///< tasks re-split onto the queue
   std::uint64_t parks = 0;
   std::uint64_t shard_updates = 0;  ///< safe updates applied via batch shards
@@ -188,8 +182,7 @@ struct SchedulerResult {
 };
 
 SchedulerResult run_scheduler(double scale, std::int64_t stream_cap,
-                              std::uint64_t seed,
-                              engine::BatchBackendKind backend) {
+                              std::uint64_t seed) {
   bench::Workload wl =
       bench::build_workload(graph::livejournal_spec(scale), 6, 1, 0.10, seed);
   if (stream_cap > 0 && wl.stream.size() > static_cast<std::size_t>(stream_cap))
@@ -201,72 +194,16 @@ SchedulerResult run_scheduler(double scale, std::int64_t stream_cap,
   engine::Config cfg;
   cfg.threads = 8;
   cfg.scheduler = engine::Scheduler::kWorkStealing;
-  cfg.batch_backend = backend;
   engine::ParaCosm pc(*alg, wl.queries.front(), g, cfg);
   const engine::StreamResult r = pc.process_stream(wl.stream);
   out.steals_attempted = r.stats.total_steals_attempted();
   out.steals_succeeded = r.stats.total_steals_succeeded();
-  out.steals_local = r.stats.total_steals_local();
-  out.steals_same_node = r.stats.total_steals_same_node();
-  out.steals_remote = r.stats.total_steals_remote();
-  out.remote_steal_share = r.stats.remote_steal_share();
   out.offloads = r.stats.total_offloads();
   out.parks = r.stats.total_parks();
   out.shard_updates = r.stats.total_shard_updates();
   out.dispatch_ms = static_cast<double>(r.stats.dispatch_ns) / 1e6;
   out.makespan_ms = static_cast<double>(r.stats.simulated_makespan_ns()) / 1e6;
   out.delta_matches = r.delta_matches();
-  return out;
-}
-
-/// Batch-backend differential (DESIGN.md §11): the same stream through the
-/// inter-update batch executor once per classification backend. Both arms
-/// must produce identical match totals — the safe-batch equivalence claim —
-/// and the per-backend counters (lanes resolved wide, scalar fallbacks,
-/// SWAR-vs-AVX2 dispatch) are archived so a silent routing regression shows
-/// up as an artifact diff.
-struct BackendLane {
-  double wall_ms = 0;
-  std::uint64_t delta_matches = 0;
-  engine::BatchBackendStats stats;
-};
-
-struct BackendResult {
-  std::uint64_t updates = 0;
-  BackendLane cpu;
-  BackendLane wide;
-  bool totals_match = true;
-};
-
-BackendLane run_backend_lane(const bench::Workload& wl,
-                             engine::BatchBackendKind kind) {
-  BackendLane out;
-  auto alg = csm::make_algorithm("newsp");
-  graph::DataGraph g = wl.graph;
-  engine::Config cfg;
-  cfg.threads = 4;
-  cfg.batch_backend = kind;
-  engine::ParaCosm pc(*alg, wl.queries.front(), g, cfg);
-  const engine::StreamResult r = pc.process_stream(wl.stream);
-  out.wall_ms = static_cast<double>(r.wall_ns) / 1e6;
-  out.delta_matches = r.delta_matches();
-  out.stats = kind == engine::BatchBackendKind::kCpu ? r.backend_cpu
-                                                     : r.backend_wide;
-  return out;
-}
-
-BackendResult run_backend(double scale, std::int64_t stream_cap,
-                          std::uint64_t seed) {
-  bench::Workload wl =
-      bench::build_workload(graph::livejournal_spec(scale), 6, 1, 0.10, seed);
-  if (stream_cap > 0 && wl.stream.size() > static_cast<std::size_t>(stream_cap))
-    wl.stream.resize(static_cast<std::size_t>(stream_cap));
-  BackendResult out;
-  if (wl.queries.empty()) return out;
-  out.updates = wl.stream.size();
-  out.cpu = run_backend_lane(wl, engine::BatchBackendKind::kCpu);
-  out.wide = run_backend_lane(wl, engine::BatchBackendKind::kWide);
-  out.totals_match = out.cpu.delta_matches == out.wide.delta_matches;
   return out;
 }
 
@@ -414,37 +351,9 @@ void write_service_lane_json(std::FILE* f, const char* name,
                last ? "" : ",");
 }
 
-void write_backend_lane_json(std::FILE* f, const char* name,
-                             const BackendLane& lane) {
-  const engine::BatchBackendStats& s = lane.stats;
-  std::fprintf(f,
-               "    \"%s\": {\"wall_ms\": %.3f, \"delta_matches\": %llu, "
-               "\"batches\": %llu, \"lanes\": %llu, \"safe_label\": %llu, "
-               "\"safe_degree\": %llu, \"safe_ads\": %llu, \"unsafe\": %llu, "
-               "\"wide_resolved\": %llu, \"scalar_fallbacks\": %llu, "
-               "\"swar_prerejects\": %llu, \"avx2_batches\": %llu, "
-               "\"swar_batches\": %llu, \"fallback_activations\": %llu, "
-               "\"verify_diffs\": %llu},\n",
-               name, lane.wall_ms,
-               static_cast<unsigned long long>(lane.delta_matches),
-               static_cast<unsigned long long>(s.batches),
-               static_cast<unsigned long long>(s.lanes),
-               static_cast<unsigned long long>(s.safe_label),
-               static_cast<unsigned long long>(s.safe_degree),
-               static_cast<unsigned long long>(s.safe_ads),
-               static_cast<unsigned long long>(s.unsafe_lanes),
-               static_cast<unsigned long long>(s.wide_resolved()),
-               static_cast<unsigned long long>(s.scalar_fallbacks),
-               static_cast<unsigned long long>(s.swar_prerejects),
-               static_cast<unsigned long long>(s.avx2_batches),
-               static_cast<unsigned long long>(s.swar_batches),
-               static_cast<unsigned long long>(s.fallback_activations),
-               static_cast<unsigned long long>(s.verify_diffs));
-}
-
 void write_json(const std::string& path, const std::vector<MicroResult>& micro,
                 const std::vector<MacroResult>& macro, const SchedulerResult& sched,
-                const BackendResult& backend, const ServiceResult& svc,
+                const ServiceResult& svc,
                 const MultiQueryResult& multi, double scale,
                 std::uint32_t queries, std::int64_t stream_cap,
                 std::uint64_t seed) {
@@ -464,19 +373,6 @@ void write_json(const std::string& path, const std::vector<MicroResult>& micro,
                "\"seed\": %llu},\n",
                scale, queries, static_cast<long long>(stream_cap),
                static_cast<unsigned long long>(seed));
-  // Machine shape the numbers were taken on: without this, cross-host diffs
-  // of the scheduler counters are apples-to-oranges.
-  const util::HwTopology& topo = util::HwTopology::cached();
-  std::fprintf(f,
-               "  \"topology\": {\"source\": \"%s\", \"cpus\": %u, "
-               "\"cores\": %u, \"nodes\": %u, \"packages\": %u, "
-               "\"smt\": %s, \"affinity_cpus\": %u, \"numa_compiled\": %s, "
-               "\"numa_available\": %s},\n",
-               util::topo_source_name(topo.source), topo.num_cpus(),
-               topo.num_cores, topo.num_nodes, topo.num_packages,
-               topo.smt ? "true" : "false", util::affinity_cpu_count(),
-               util::numa::compiled() ? "true" : "false",
-               util::numa::available() ? "true" : "false");
   std::fprintf(f, "  \"micro_ns_per_op\": {\n");
   for (std::size_t i = 0; i < micro.size(); ++i)
     std::fprintf(f, "    \"%s\": %.2f%s\n", micro[i].name.c_str(), micro[i].ns_per_op,
@@ -498,31 +394,17 @@ void write_json(const std::string& path, const std::vector<MicroResult>& micro,
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"scheduler_8threads\": {\"steals_attempted\": %llu, "
-               "\"steals_succeeded\": %llu, \"steals_local\": %llu, "
-               "\"steals_same_node\": %llu, \"steals_remote\": %llu, "
-               "\"remote_steal_share\": %.4f, \"tasks_resplit\": %llu, "
+               "\"steals_succeeded\": %llu, \"tasks_resplit\": %llu, "
                "\"parks\": %llu, \"shard_updates\": %llu, "
                "\"dispatch_ms\": %.3f, \"sim_makespan_ms\": %.3f, "
                "\"delta_matches\": %llu},\n",
                static_cast<unsigned long long>(sched.steals_attempted),
                static_cast<unsigned long long>(sched.steals_succeeded),
-               static_cast<unsigned long long>(sched.steals_local),
-               static_cast<unsigned long long>(sched.steals_same_node),
-               static_cast<unsigned long long>(sched.steals_remote),
-               sched.remote_steal_share,
                static_cast<unsigned long long>(sched.offloads),
                static_cast<unsigned long long>(sched.parks),
                static_cast<unsigned long long>(sched.shard_updates),
                sched.dispatch_ms, sched.makespan_ms,
                static_cast<unsigned long long>(sched.delta_matches));
-  std::fprintf(f, "  \"backend\": {\n");
-  std::fprintf(f, "    \"updates\": %llu,\n",
-               static_cast<unsigned long long>(backend.updates));
-  write_backend_lane_json(f, "cpu", backend.cpu);
-  write_backend_lane_json(f, "wide", backend.wide);
-  std::fprintf(f, "    \"totals_match\": %s\n",
-               backend.totals_match ? "true" : "false");
-  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"service\": {\n");
   std::fprintf(f, "    \"updates\": %llu,\n",
                static_cast<unsigned long long>(svc.updates));
@@ -559,8 +441,7 @@ void write_json(const std::string& path, const std::vector<MicroResult>& micro,
 /// CSV or JSON by extension — the form dashboards and diff tooling ingest
 /// without parsing the nested report above.
 void write_metrics(const std::string& path, const std::vector<MicroResult>& micro,
-                   const std::vector<MacroResult>& macro,
-                   const SchedulerResult& sched, const BackendResult& backend,
+                   const std::vector<MacroResult>& macro, const SchedulerResult& sched,
                    const ServiceResult& svc, const MultiQueryResult& multi) {
   obs::MetricsSnapshot snap;
   for (const MicroResult& m : micro)
@@ -574,31 +455,9 @@ void write_metrics(const std::string& path, const std::vector<MicroResult>& micr
                    static_cast<std::int64_t>(sched.steals_succeeded));
   snap.add_counter("scheduler.steals_attempted",
                    static_cast<std::int64_t>(sched.steals_attempted));
-  snap.add_counter("scheduler.steals_local",
-                   static_cast<std::int64_t>(sched.steals_local));
-  snap.add_counter("scheduler.steals_same_node",
-                   static_cast<std::int64_t>(sched.steals_same_node));
-  snap.add_counter("scheduler.steals_remote",
-                   static_cast<std::int64_t>(sched.steals_remote));
   snap.add_counter("scheduler.tasks_resplit",
                    static_cast<std::int64_t>(sched.offloads));
   snap.add_counter("scheduler.parks", static_cast<std::int64_t>(sched.parks));
-  for (const auto& [name, lane] :
-       {std::pair<const char*, const BackendLane*>{"cpu", &backend.cpu},
-        {"wide", &backend.wide}}) {
-    const std::string p = std::string("backend.") + name + ".";
-    snap.add_gauge(p + "wall_ms", lane->wall_ms);
-    snap.add_counter(p + "batches", static_cast<std::int64_t>(lane->stats.batches));
-    snap.add_counter(p + "lanes", static_cast<std::int64_t>(lane->stats.lanes));
-    snap.add_counter(p + "wide_resolved",
-                     static_cast<std::int64_t>(lane->stats.wide_resolved()));
-    snap.add_counter(p + "swar_prerejects",
-                     static_cast<std::int64_t>(lane->stats.swar_prerejects));
-    snap.add_counter(p + "scalar_fallbacks",
-                     static_cast<std::int64_t>(lane->stats.scalar_fallbacks));
-    snap.add_counter(p + "fallback_activations",
-                     static_cast<std::int64_t>(lane->stats.fallback_activations));
-  }
   snap.add_gauge("service.no_deadline.wall_ms", svc.no_deadline.wall_ms);
   snap.add_gauge("service.armed.wall_ms", svc.armed.wall_ms);
   snap.add_counter("service.no_deadline.latency_ns.p50",
@@ -637,9 +496,6 @@ int main(int argc, char** argv) {
       .option("timeout-ms", "4000", "per-query budget for the macro section")
       .option("metrics-out", "",
               "also write a flat metrics snapshot (.csv or JSON by extension)")
-      .option("backend", "cpu",
-              "batch classification backend for the scheduler section "
-              "(cpu|wide|auto); the backend section always runs both arms")
       .option("seed", "42", "random seed");
   if (!cli.parse(argc, argv)) return cli.exit_code();
 
@@ -652,23 +508,17 @@ int main(int argc, char** argv) {
   const auto queries = static_cast<std::uint32_t>(cli.get_int("queries"));
   const std::int64_t stream_cap = cli.get_int("stream");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto backend_kind = engine::parse_batch_backend(cli.get("backend"));
-  if (!backend_kind) {
-    std::fprintf(stderr, "error: --backend must be cpu, wide or auto\n");
-    return 1;
-  }
 
   const auto micro = run_micro(iters);
   const auto macro = run_macro(scale, queries, stream_cap,
                                cli.get_int("timeout-ms"), seed);
-  const auto sched = run_scheduler(scale, stream_cap, seed, *backend_kind);
-  const auto backend = run_backend(scale, stream_cap, seed);
+  const auto sched = run_scheduler(scale, stream_cap, seed);
   const auto svc = run_service(scale, stream_cap, seed);
   const auto multi = run_multi_query(scale, queries, stream_cap, seed);
-  write_json(cli.get("out"), micro, macro, sched, backend, svc, multi, scale,
-             queries, stream_cap, seed);
+  write_json(cli.get("out"), micro, macro, sched, svc, multi, scale, queries,
+             stream_cap, seed);
   if (const std::string mpath = cli.get("metrics-out"); !mpath.empty())
-    write_metrics(mpath, micro, macro, sched, backend, svc, multi);
+    write_metrics(mpath, micro, macro, sched, svc, multi);
 
   for (const auto& m : micro)
     std::printf("%-26s %10.2f ns/op\n", m.name.c_str(), m.ns_per_op);
@@ -685,14 +535,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(sched.parks),
       static_cast<unsigned long long>(sched.shard_updates),
       sched.dispatch_ms);
-  std::printf(
-      "backend@4t:   cpu %.3f ms vs wide %.3f ms over %llu updates "
-      "(wide resolved %llu/%llu lanes, totals %s)\n",
-      backend.cpu.wall_ms, backend.wide.wall_ms,
-      static_cast<unsigned long long>(backend.updates),
-      static_cast<unsigned long long>(backend.wide.stats.wide_resolved()),
-      static_cast<unsigned long long>(backend.wide.stats.lanes),
-      backend.totals_match ? "match" : "MISMATCH");
   const double base_ms = svc.no_deadline.wall_ms;
   std::printf(
       "service@4t:   %llu updates, p50/p95/p99 %.1f/%.1f/%.1f us; armed "

@@ -74,10 +74,6 @@ int main(int argc, char** argv) {
       .option("replay", "", "Re-run a repro file instead of fuzzing")
       .flag("shrink", "Minimize failing cases and write repro files")
       .flag("fault", "Inject an unsound ads_safe rule (harness self-test)")
-      .flag("backend",
-            "Additionally run every batch lane on the wide (AVX2/SWAR) "
-            "classification backend and under kAuto routing — the "
-            "cpu-vs-wide differential sweep")
       .flag("invariants", "Additionally run metamorphic invariant checks")
       .flag("counts-only", "Reconcile match counts only (skip mapping multisets)")
       .flag("service",
@@ -110,8 +106,7 @@ int main(int argc, char** argv) {
   opts.factory = factory;
   opts.check_mappings = !cli.get_bool("counts-only");
   const std::vector<unsigned> threads = parse_thread_list(cli.get("threads"));
-  opts.lanes = cli.get_bool("backend") ? verify::backend_lane_matrix(threads)
-                                       : verify::default_lane_matrix(threads);
+  opts.lanes = verify::default_lane_matrix(threads);
   const std::vector<std::string> algo_names = parse_name_list(cli.get("algorithms"));
   if (!algo_names.empty()) {
     opts.algorithms.clear();

@@ -39,8 +39,6 @@
 #include "shard/fault.hpp"
 #include "util/checksum.hpp"
 #include "util/cli.hpp"
-#include "util/hw_topo.hpp"
-#include "util/numa_alloc.hpp"
 #include "util/rng.hpp"
 #include "verify/oracle_mirror.hpp"
 
@@ -120,21 +118,6 @@ struct MultiQueryInfo {
   std::string algorithm;
 };
 
-/// Machine-shape stanza shared by both report writers: the host topology the
-/// latency numbers were taken on, so cross-host report diffs carry context.
-void write_topology_json(std::ostream& out) {
-  const util::HwTopology& topo = util::HwTopology::cached();
-  out << "  \"topology\": {\"source\": \"" << util::topo_source_name(topo.source)
-      << "\", \"cpus\": " << topo.num_cpus() << ", \"cores\": " << topo.num_cores
-      << ", \"nodes\": " << topo.num_nodes
-      << ", \"packages\": " << topo.num_packages
-      << ", \"smt\": " << (topo.smt ? "true" : "false")
-      << ", \"affinity_cpus\": " << util::affinity_cpu_count()
-      << ", \"numa_compiled\": " << (util::numa::compiled() ? "true" : "false")
-      << ", \"numa_available\": " << (util::numa::available() ? "true" : "false")
-      << "},\n";
-}
-
 void write_multi_json_report(const std::string& path,
                              const service::MultiServiceReport& r,
                              const std::vector<MultiQueryInfo>& queries,
@@ -151,7 +134,6 @@ void write_multi_json_report(const std::string& path,
   out << "{\n"
       << "  \"mode\": \"multi\",\n"
       << "  \"threads\": " << threads << ",\n";
-  write_topology_json(out);
   out << "  \"policy\": \"" << policy << "\",\n"
       << "  \"wall_ns\": " << r.wall_ns << ",\n"
       << "  \"processed\": " << s.processed << ",\n"
@@ -362,7 +344,6 @@ void write_shard_json_report(const std::string& path,
       << "  \"mode\": \"sharded\",\n"
       << "  \"algorithm\": \"" << algorithm << "\",\n"
       << "  \"shards\": " << n_shards << ",\n";
-  write_topology_json(out);
   out << "  \"fault_spec\": \"" << fault_spec << "\",\n"
       << "  \"processed\": " << r.processed << ",\n"
       << "  \"applied\": " << r.applied << ",\n"
@@ -562,7 +543,6 @@ void write_json_report(const std::string& path, const service::ServiceReport& r,
   out << "{\n"
       << "  \"algorithm\": \"" << algorithm << "\",\n"
       << "  \"threads\": " << threads << ",\n";
-  write_topology_json(out);
   out << "  \"policy\": \"" << policy << "\",\n"
       << "  \"positive\": " << r.positive << ",\n"
       << "  \"negative\": " << r.negative << ",\n"
@@ -607,7 +587,7 @@ int main(int argc, char** argv) {
       .option("algorithm", "graphflow", "graphflow|turboflux|symbi|calig|newsp")
       .option("threads", "8", "worker threads for the search phase (0 = one per "
               "CPU in the process affinity mask)")
-      .flag("pin", "pin workers to CPUs (topology-aware; no-op without sysfs)")
+      .flag("pin", "pin workers to CPUs (distinct cores first; no-op without sysfs)")
       .option("policy", "block", "overload policy: block|shed|degrade")
       .option("queue", "1024", "ingest ring capacity")
       .option("budget-us", "0", "per-update search budget (0 = no deadline)")

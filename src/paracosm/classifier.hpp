@@ -16,6 +16,11 @@
 // change (the edge may support candidates elsewhere). The classifier
 // therefore consults stage 3 for every ADS-bearing algorithm, and stage 2 is
 // decisive on its own only for index-free algorithms (GraphFlow, NewSP).
+//
+// The batch pipeline classifies through MultiQueryEngine's shared pass, which
+// reproduces this classifier's verdict for a single registration;
+// UpdateClassifier itself serves the sharing-off baseline and is the
+// reference the shared pass is tested against.
 #pragma once
 
 #include <optional>
@@ -36,6 +41,13 @@ enum class UpdateClass : std::uint8_t {
   return c != UpdateClass::kUnsafe;
 }
 
+/// Validity screening plus delete-label resolution, common to every
+/// classifier. nullopt means the update is kUnsafe before any stage runs
+/// (vertex op, missing endpoint, self-loop, duplicate insert / phantom
+/// removal); otherwise the returned update has its edge label resolved.
+[[nodiscard]] std::optional<graph::GraphUpdate> effective_update(
+    const graph::DataGraph& g, const graph::GraphUpdate& upd);
+
 class UpdateClassifier {
  public:
   UpdateClassifier(const graph::QueryGraph& q, const graph::DataGraph& g,
@@ -47,23 +59,8 @@ class UpdateClassifier {
   /// safe updates are being applied — see DESIGN.md §4).
   [[nodiscard]] UpdateClass classify(const graph::GraphUpdate& upd) const;
 
-  /// classify + stats bookkeeping.
-  UpdateClass classify_counted(const graph::GraphUpdate& upd,
-                               ClassifierStats& stats) const;
-
  private:
   [[nodiscard]] UpdateClass classify_impl(const graph::GraphUpdate& upd) const;
-
-  /// Validity screening plus delete-label resolution. nullopt means the
-  /// update is kUnsafe before any stage runs (vertex op, missing endpoint,
-  /// self-loop, duplicate insert / phantom removal); otherwise the returned
-  /// update has its edge label resolved and classify_effective() decides
-  /// stages 1–3.
-  [[nodiscard]] std::optional<graph::GraphUpdate> effective_update(
-      const graph::GraphUpdate& upd) const;
-
-  /// Stages 1–3 on an already-resolved update (see effective_update()).
-  [[nodiscard]] UpdateClass classify_effective(const graph::GraphUpdate& eff) const;
 
   const graph::QueryGraph& q_;
   const graph::DataGraph& g_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 #include "obs/trace_ring.hpp"
 #include "paracosm/shard_cursor.hpp"
@@ -77,13 +78,38 @@ void MultiQueryEngine::release_group(const std::size_t group_id) {
   free_groups_.push_back(group_id);
 }
 
-std::size_t MultiQueryEngine::add_query(const std::string_view algorithm,
-                                        graph::QueryGraph query, QueryOptions opts) {
-  auto alg = csm::make_algorithm(algorithm);
-  if (!alg)
-    throw std::invalid_argument("MultiQueryEngine: unknown algorithm " +
-                                std::string(algorithm));
+std::size_t MultiQueryEngine::open_class(const graph::QueryGraph& q,
+                                         csm::CsmAlgorithm& alg, std::string share_key,
+                                         const std::int64_t budget_us) {
+  alg.attach(q, g_);  // the offline stage; it may throw, so it runs first
+  std::size_t class_id;
+  if (!free_classes_.empty()) {
+    class_id = free_classes_.back();
+    free_classes_.pop_back();
+  } else {
+    class_id = classes_.size();
+    classes_.emplace_back();
+  }
+  const bool ignore = !alg.uses_edge_labels();
+  EvalClass& cls = classes_[class_id];
+  cls.query = &q;
+  cls.algorithm = &alg;
+  cls.classifier = std::make_unique<UpdateClassifier>(q, g_, alg);
+  cls.members.clear();
+  cls.share_key = std::move(share_key);
+  cls.budget_us = budget_us;
+  cls.ignore_edge_labels = ignore;
+  cls.has_ads = alg.has_ads();
+  cls.active = true;
+  cls.group_id = acquire_group(q, ignore);
+  index_.add_class(class_id, q, ignore);
+  anchors_.add_class(class_id, q, ignore);
+  if (!cls.share_key.empty()) class_by_key_[cls.share_key] = class_id;
+  ++active_classes_;
+  return class_id;
+}
 
+std::size_t MultiQueryEngine::add_member(const std::size_t class_id) {
   std::size_t handle;
   if (!free_slots_.empty()) {
     handle = free_slots_.back();
@@ -92,51 +118,41 @@ std::size_t MultiQueryEngine::add_query(const std::string_view algorithm,
     handle = slots_.size();
     slots_.emplace_back();
   }
+  classes_[class_id].members.push_back(handle);
+  slots_[handle] = Slot{true, class_id, {}};
+  ++active_queries_;
+  return handle;
+}
+
+std::size_t MultiQueryEngine::add_query(const std::string_view algorithm,
+                                        graph::QueryGraph query, QueryOptions opts) {
+  auto alg = csm::make_algorithm(algorithm);
+  if (!alg)
+    throw std::invalid_argument("MultiQueryEngine: unknown algorithm " +
+                                std::string(algorithm));
 
   // Sharing key: queries equal under label-preserving isomorphism with the
   // same algorithm and budget collapse into one evaluation class (budgets
   // must match — a shared search is truncated identically for all members).
-  std::size_t class_id = classes_.size();
   std::string share_key;
   if (shared_eval_) {
     share_key = std::string(algorithm) + "|" + std::to_string(opts.budget_us) +
                 "|" + canonical_query_key(query);
     if (const auto it = class_by_key_.find(share_key); it != class_by_key_.end())
-      class_id = it->second;
+      return add_member(it->second);
   }
 
-  if (class_id == classes_.size()) {
-    const bool ignore = !alg->uses_edge_labels();
-    if (!free_classes_.empty()) {
-      class_id = free_classes_.back();
-      free_classes_.pop_back();
-    } else {
-      class_id = classes_.size();
-      classes_.emplace_back();
-    }
-    EvalClass& cls = classes_[class_id];
-    cls.query = std::make_unique<graph::QueryGraph>(std::move(query));
-    cls.algorithm = std::move(alg);
-    cls.algorithm->attach(*cls.query, g_);
-    cls.classifier =
-        std::make_unique<UpdateClassifier>(*cls.query, g_, *cls.algorithm);
-    cls.members.clear();
-    cls.share_key = share_key;
-    cls.budget_us = opts.budget_us;
-    cls.ignore_edge_labels = ignore;
-    cls.has_ads = cls.algorithm->has_ads();
-    cls.active = true;
-    cls.group_id = acquire_group(*cls.query, ignore);
-    index_.add_class(class_id, *cls.query, ignore);
-    anchors_.add_class(class_id, *cls.query, ignore);
-    if (!share_key.empty()) class_by_key_[share_key] = class_id;
-    ++active_classes_;
-  }
+  auto owned_query = std::make_unique<graph::QueryGraph>(std::move(query));
+  const std::size_t class_id =
+      open_class(*owned_query, *alg, std::move(share_key), opts.budget_us);
+  classes_[class_id].owned_query = std::move(owned_query);
+  classes_[class_id].owned_algorithm = std::move(alg);
+  return add_member(class_id);
+}
 
-  classes_[class_id].members.push_back(handle);
-  slots_[handle] = Slot{true, class_id};
-  ++active_queries_;
-  return handle;
+std::size_t MultiQueryEngine::add_query(csm::CsmAlgorithm& alg,
+                                        const graph::QueryGraph& query) {
+  return add_member(open_class(query, alg, {}, /*budget_us=*/0));
 }
 
 bool MultiQueryEngine::remove_query(const std::size_t handle) {
@@ -144,7 +160,7 @@ bool MultiQueryEngine::remove_query(const std::size_t handle) {
   const std::size_t class_id = slots_[handle].class_id;
   EvalClass& cls = classes_[class_id];
   std::erase(cls.members, handle);
-  slots_[handle].active = false;
+  slots_[handle] = Slot{};
   free_slots_.push_back(handle);
   --active_queries_;
   if (cls.members.empty()) {
@@ -157,6 +173,12 @@ bool MultiQueryEngine::remove_query(const std::size_t handle) {
     --active_classes_;
   }
   return true;
+}
+
+void MultiQueryEngine::set_match_callback(const std::size_t handle,
+                                          MatchCallback callback) {
+  if (handle < slots_.size() && slots_[handle].active)
+    slots_[handle].on_match = std::move(callback);
 }
 
 void MultiQueryEngine::ensure_scratch(const unsigned nthreads) {
@@ -186,26 +208,19 @@ bool MultiQueryEngine::group_degree_feasible(const ClassifyGroup& grp,
   return false;
 }
 
-bool MultiQueryEngine::classify_shared(const GraphUpdate& upd, ClassifyScratch& s,
-                                       QueryBitmap* need) const {
+UpdateClass MultiQueryEngine::classify_shared(const GraphUpdate& upd,
+                                              ClassifyScratch& s,
+                                              QueryBitmap* need) const {
 #if defined(PARACOSM_TRACE_ENABLED)
-  const bool traced =
-      obs::trace_level() >= obs::event_level(obs::EventKind::kMultiClassify);
+  const bool traced = need == nullptr && obs::trace_level() >= obs::event_level(
+                                             obs::EventKind::kMultiClassify);
   const std::int64_t t0 = traced ? obs::now_ns() : 0;
   std::size_t traced_candidates = 0;
 #endif
   MultiQueryStats& mq = s.mq;
   ++mq.updates_classified;
 
-  // Structural screens, evaluated once for all queries (each would make
-  // every per-query classifier return kUnsafe).
-  const auto all_unsafe = [&] {
-    if (need)
-      for (std::size_t c = 0; c < classes_.size(); ++c)
-        if (classes_[c].active) need->set(c);
-    return false;
-  };
-  const auto finish = [&](const bool verdict) {
+  const auto finish = [&](const UpdateClass verdict) {
 #if defined(PARACOSM_TRACE_ENABLED)
     if (traced)
       obs::trace_complete(obs::EventKind::kMultiClassify, t0, traced_candidates,
@@ -214,39 +229,34 @@ bool MultiQueryEngine::classify_shared(const GraphUpdate& upd, ClassifyScratch& 
     return verdict;
   };
 
-  if (!upd.is_edge_op()) return finish(active_queries_ == 0 || all_unsafe());
-  if (!g_.has_vertex(upd.u) || !g_.has_vertex(upd.v) || upd.u == upd.v)
-    return finish(active_queries_ == 0 || all_unsafe());
-  const bool insert = upd.op == UpdateOp::kInsertEdge;
-  if (insert == g_.has_edge(upd.u, upd.v))
-    return finish(active_queries_ == 0 || all_unsafe());
-  if (active_queries_ == 0) return finish(true);
-
-  // Deletion requests may omit the edge label; resolve once (the per-query
-  // classifiers each re-derive this — see classifier.cpp).
-  GraphUpdate eff = upd;
-  if (!insert) {
-    const auto actual_label = g_.edge_label(upd.u, upd.v);
-    if (!actual_label) return finish(all_unsafe());
-    eff.label = *actual_label;
+  // Structural screens, evaluated once for all queries (each would make
+  // every per-query classifier return kUnsafe).
+  const std::optional<GraphUpdate> eff = effective_update(g_, upd);
+  if (!eff) {
+    if (need)
+      for (std::size_t c = 0; c < classes_.size(); ++c)
+        if (classes_[c].active) need->set(c);
+    return finish(UpdateClass::kUnsafe);
   }
+  if (active_queries_ == 0) return finish(UpdateClass::kSafeLabel);
 
   // Tier 1: one index probe. Classes outside the bitmap have no query edge
   // with this label triple — kSafeLabel for every member, no dispatch.
-  const Label lu = g_.label(eff.u), lv = g_.label(eff.v);
+  const Label lu = g_.label(eff->u), lv = g_.label(eff->v);
   s.candidates.reset();
   ++mq.index_probes;
-  index_.probe(lu, lv, eff.label, s.candidates);
+  index_.probe(lu, lv, eff->label, s.candidates);
 
   if (++s.epoch == 0) {  // group-memo epoch wrap
     std::fill(s.group_epoch.begin(), s.group_epoch.end(), 0);
     s.epoch = 1;
   }
 
-  const std::uint32_t du = g_.degree(eff.u) + (insert ? 1 : 0);
-  const std::uint32_t dv = g_.degree(eff.v) + (insert ? 1 : 0);
+  const bool insert = eff->op == UpdateOp::kInsertEdge;
+  const std::uint32_t du = g_.degree(eff->u) + (insert ? 1 : 0);
+  const std::uint32_t dv = g_.degree(eff->v) + (insert ? 1 : 0);
 
-  bool safe_all = true;
+  UpdateClass verdict = UpdateClass::kSafeLabel;
   std::size_t settled_members = 0;
   std::size_t candidate_classes = 0;
   s.candidates.for_each_set([&](const std::size_t c) {
@@ -254,36 +264,40 @@ bool MultiQueryEngine::classify_shared(const GraphUpdate& upd, ClassifyScratch& 
     if (!cls.active) return;
     ++candidate_classes;
     settled_members += cls.members.size();
-    // Verdict per class, mirroring UpdateClassifier::classify_impl for a
-    // non-empty stage 1: for index-free algorithms a failed degree filter is
-    // decisive (kSafeDegree); otherwise stage 3 decides.
-    bool safe;
+    const auto degree_feasible = [&] {  // tier 2: memoized per group
+      if (s.group_epoch[cls.group_id] == s.epoch) {
+        ++mq.group_hits;
+        return s.group_feasible[cls.group_id] != 0;
+      }
+      const bool feasible =
+          group_degree_feasible(groups_[cls.group_id], lu, lv, eff->label, du, dv);
+      s.group_epoch[cls.group_id] = s.epoch;
+      s.group_feasible[cls.group_id] = feasible ? 1 : 0;
+      ++mq.group_checks;
+      return feasible;
+    };
+    // Verdict per class, mirroring UpdateClassifier::classify: for
+    // index-free algorithms a failed degree filter is decisive (kSafeDegree),
+    // otherwise stage 3 decides; for ADS-bearing ones stage 3 always decides
+    // and the degree filter only attributes a safe verdict, so it runs only
+    // while it can still change the update's stage.
+    UpdateClass v;
     if (cls.has_ads) {
       ++mq.ads_checks;
-      safe = cls.algorithm->ads_safe(eff);
+      if (!cls.algorithm->ads_safe(*eff))
+        v = UpdateClass::kUnsafe;
+      else
+        v = verdict >= UpdateClass::kSafeAds || degree_feasible()
+                ? UpdateClass::kSafeAds
+                : UpdateClass::kSafeDegree;
+    } else if (!degree_feasible()) {
+      v = UpdateClass::kSafeDegree;
     } else {
-      bool feasible;
-      if (s.group_epoch[cls.group_id] == s.epoch) {  // tier 2: memoized
-        feasible = s.group_feasible[cls.group_id] != 0;
-        ++mq.group_hits;
-      } else {
-        feasible =
-            group_degree_feasible(groups_[cls.group_id], lu, lv, eff.label, du, dv);
-        s.group_epoch[cls.group_id] = s.epoch;
-        s.group_feasible[cls.group_id] = feasible ? 1 : 0;
-        ++mq.group_checks;
-      }
-      if (!feasible) {
-        safe = true;  // kSafeDegree
-      } else {
-        ++mq.ads_checks;
-        safe = cls.algorithm->ads_safe(eff);
-      }
+      ++mq.ads_checks;
+      v = cls.algorithm->ads_safe(*eff) ? UpdateClass::kSafeAds : UpdateClass::kUnsafe;
     }
-    if (!safe) {
-      safe_all = false;
-      if (need) need->set(c);
-    }
+    if (v == UpdateClass::kUnsafe && need) need->set(c);
+    verdict = std::max(verdict, v);
   });
   if (candidate_classes == 0) ++mq.index_empty;
   mq.verdicts_grouped += settled_members;
@@ -291,17 +305,67 @@ bool MultiQueryEngine::classify_shared(const GraphUpdate& upd, ClassifyScratch& 
 #if defined(PARACOSM_TRACE_ENABLED)
   traced_candidates = candidate_classes;
 #endif
-  return finish(safe_all);
+  return finish(verdict);
 }
 
-bool MultiQueryEngine::safe_for_all_legacy(const GraphUpdate& upd) const {
-  for (const EvalClass& cls : classes_)
-    if (cls.active && !is_safe(cls.classifier->classify(upd))) return false;
-  return true;
+UpdateClass MultiQueryEngine::classify_independent(const GraphUpdate& upd) const {
+  if (active_classes_ == 0)
+    return effective_update(g_, upd) ? UpdateClass::kSafeLabel : UpdateClass::kUnsafe;
+  UpdateClass verdict = UpdateClass::kSafeLabel;
+  for (const EvalClass& cls : classes_) {
+    if (!cls.active) continue;
+    verdict = std::max(verdict, cls.classifier->classify(upd));
+    if (verdict == UpdateClass::kUnsafe) break;
+  }
+  return verdict;
+}
+
+void MultiQueryEngine::classify_batch(const std::span<const GraphUpdate> batch,
+                                      MultiStreamResult& result) {
+#if defined(PARACOSM_TRACE_ENABLED)
+  const std::int64_t trace_t0 = obs::trace_level() >= 1 ? obs::now_ns() : 0;
+#endif
+  const std::size_t count = batch.size();
+  verdicts_.resize(count);
+  const auto classify = [this](const GraphUpdate& upd, ClassifyScratch& s) {
+    return shared_eval_ ? classify_shared(upd, s, nullptr) : classify_independent(upd);
+  };
+  ParallelStats& stats = result.stats;
+  const unsigned nthreads = runtime_.pool.size();
+  if (nthreads > 1 && count > 1) {
+    runtime_.pool.run([&](unsigned wid) {
+      util::ThreadCpuTimer timer;
+      ClassifyScratch& s = scratch_[wid];
+      for (std::size_t j = wid; j < count; j += nthreads)
+        verdicts_[j] = classify(batch[j], s);
+      stats.workers[wid].busy_ns += timer.elapsed_ns();
+    });
+    stats.dispatch_ns += runtime_.pool.last_dispatch_ns();
+  } else {
+    util::ThreadCpuTimer timer;
+    for (std::size_t j = 0; j < count; ++j)
+      verdicts_[j] = classify(batch[j], scratch_.front());
+    stats.serial_ns += timer.elapsed_ns();
+  }
+  BatchBackendStats& counters = result.backend_cpu;
+  ++counters.batches;
+  counters.lanes += count;
+  for (std::size_t j = 0; j < count; ++j) {
+    switch (verdicts_[j]) {
+      case UpdateClass::kSafeLabel: ++counters.safe_label; break;
+      case UpdateClass::kSafeDegree: ++counters.safe_degree; break;
+      case UpdateClass::kSafeAds: ++counters.safe_ads; break;
+      case UpdateClass::kUnsafe: ++counters.unsafe_lanes; break;
+    }
+  }
+#if defined(PARACOSM_TRACE_ENABLED)
+  if (obs::trace_level() >= 1)
+    obs::trace_complete(obs::EventKind::kBatchBackend, trace_t0, count);
+#endif
 }
 
 // ---------------------------------------------------------------------------
-// Application
+// Application and search
 
 void MultiQueryEngine::apply_safe(const GraphUpdate& upd) {
   if (upd.op == UpdateOp::kInsertEdge) {
@@ -317,13 +381,37 @@ void MultiQueryEngine::apply_safe(const GraphUpdate& upd) {
         if (cls.active) cls.algorithm->on_edge_removed(applied);
     }
   }
+  PARACOSM_TRACE_INSTANT(obs::EventKind::kSafeApply, upd.u, upd.v);
+}
+
+const MultiQueryEngine::MatchCallback* MultiQueryEngine::class_callback(
+    const EvalClass& cls, MatchCallback& fan) const {
+  const MatchCallback* only = nullptr;
+  std::size_t observers = 0;
+  for (const std::size_t m : cls.members) {
+    if (slots_[m].on_match) {
+      only = &slots_[m].on_match;
+      ++observers;
+    }
+  }
+  if (observers <= 1) return only;
+  fan = [this, &cls](const std::span<const csm::Assignment> mapping) {
+    for (const std::size_t m : cls.members)
+      if (slots_[m].on_match) slots_[m].on_match(mapping);
+  };
+  return &fan;
 }
 
 MultiQueryEngine::SearchOutcome MultiQueryEngine::search_class(
     EvalClass& cls, const GraphUpdate& eff, const util::Clock::time_point deadline,
-    MultiStreamResult& result) {
+    const util::CancelView cancel, ParallelStats& stats) {
   std::vector<csm::SearchTask> seeds;
-  cls.algorithm->seeds(eff, seeds);
+  {
+    util::ThreadCpuTimer serial;
+    PARACOSM_TRACE_SPAN(seed_span, obs::EventKind::kSeedGen, eff.u, eff.v);
+    cls.algorithm->seeds(eff, seeds);
+    stats.serial_ns += serial.elapsed_ns();
+  }
   if (seeds.empty()) return {};
 
   // Per-query budget isolation: the class searches under the tighter of the
@@ -340,34 +428,48 @@ MultiQueryEngine::SearchOutcome MultiQueryEngine::search_class(
     }
   }
 
-  std::uint64_t matches;
-  bool timed;
+  MatchCallback fan;
+  const MatchCallback* on_match = class_callback(cls, fan);
+  SearchOutcome outcome;
+  bool timed = false;
   if (config_.inner_parallelism) {
-    InnerRunResult run =
-        runtime_.inner.run(*cls.algorithm, std::move(seeds), class_deadline);
-    result.stats.merge(run.stats);
-    matches = run.matches;
+    InnerRunResult run = runtime_.inner.run(*cls.algorithm, std::move(seeds),
+                                            class_deadline, on_match, cancel);
+    stats.merge(run.stats);
+    outcome.matches = run.matches;
+    outcome.nodes = run.nodes;
+    outcome.cancelled = run.cancelled;
     timed = run.timed_out;
   } else {
     util::ThreadCpuTimer timer;
     csm::MatchSink sink;
     sink.deadline = class_deadline;
-    for (const auto& task : seeds) {
+    sink.cancel = cancel;
+    if (on_match) sink.on_match = *on_match;
+    for (const csm::SearchTask& task : seeds) {
+      PARACOSM_TRACE_SPAN(task_span, obs::EventKind::kTaskExpand, task.depth());
       cls.algorithm->expand(task, sink, nullptr);
       if (sink.stopped()) break;
     }
-    result.stats.serial_ns += timer.elapsed_ns();
-    matches = sink.matches;
+    stats.serial_ns += timer.elapsed_ns();
+    outcome.matches = sink.matches;
+    outcome.nodes = sink.nodes;
+    outcome.cancelled = sink.cancelled();
     timed = sink.timed_out();
   }
-  if (!timed) return {matches, false, false};
-  if (budgeted && !deadline_expired(deadline)) return {matches, true, false};
-  return {matches, false, true};
+  if (timed) {
+    if (budgeted && !deadline_expired(deadline))
+      outcome.degraded = true;
+    else
+      outcome.timed_out = true;
+  }
+  return outcome;
 }
 
 void MultiQueryEngine::run_searches(const GraphUpdate& eff, const bool positive,
                                     const util::Clock::time_point deadline,
-                                    MultiStreamResult& result) {
+                                    const util::CancelView cancel,
+                                    MultiStreamResult& into, csm::UpdateOutcome& out) {
   // Tier 3 gate: a class none of whose shared seed anchors pass cannot gain
   // or lose a match through this edge — skip its search outright. For
   // insertions the endpoints' signatures already include the new edge (we
@@ -377,14 +479,15 @@ void MultiQueryEngine::run_searches(const GraphUpdate& eff, const bool positive,
     anchor_scratch_.reset();
     anchors_.filter(g_.label(eff.u), g_.label(eff.v), eff.label,
                     g_.nlf_signature(eff.u), g_.nlf_signature(eff.v),
-                    anchor_scratch_, result.mq.anchors_checked);
+                    anchor_scratch_, into.mq.anchors_checked);
   }
-  std::vector<std::uint64_t>& out = positive ? result.positive : result.negative;
+  std::vector<std::uint64_t>& by_handle = positive ? into.positive : into.negative;
+  std::uint64_t& total = positive ? out.positive : out.negative;
   need_scratch_.for_each_set([&](const std::size_t c) {
     EvalClass& cls = classes_[c];
     if (!cls.active) return;
     if (use_anchors && !anchor_scratch_.test(c)) {
-      ++result.mq.searches_skipped;
+      ++into.mq.searches_skipped;
       return;
     }
 #if defined(PARACOSM_TRACE_ENABLED)
@@ -392,46 +495,78 @@ void MultiQueryEngine::run_searches(const GraphUpdate& eff, const bool positive,
         obs::trace_level() >= obs::event_level(obs::EventKind::kMultiSearch);
     const std::int64_t t0 = traced ? obs::now_ns() : 0;
 #endif
-    const SearchOutcome outcome = search_class(cls, eff, deadline, result);
+    const SearchOutcome outcome = search_class(cls, eff, deadline, cancel, into.stats);
 #if defined(PARACOSM_TRACE_ENABLED)
     if (traced)
       obs::trace_complete(obs::EventKind::kMultiSearch, t0, c, cls.members.size(),
                           outcome.matches);
 #endif
-    ++result.mq.searches_run;
-    result.mq.searches_shared += cls.members.size() - 1;
+    ++into.mq.searches_run;
+    into.mq.searches_shared += cls.members.size() - 1;
     for (const std::size_t m : cls.members) {
-      out[m] += outcome.matches;
-      if (outcome.degraded) ++result.degraded[m];
+      by_handle[m] += outcome.matches;
+      if (outcome.degraded) ++into.degraded[m];
     }
-    result.timed_out = result.timed_out || outcome.timed_out;
+    total += outcome.matches * cls.members.size();
+    out.nodes += outcome.nodes;
+    out.timed_out = out.timed_out || outcome.timed_out;
+    out.cancelled = out.cancelled || outcome.cancelled;
   });
 }
 
-void MultiQueryEngine::process_unsafe(const GraphUpdate& upd,
-                                      const util::Clock::time_point deadline,
-                                      MultiStreamResult& result) {
-  // Vertex operations: trivial for matching; keep graph + indexes aligned.
-  if (upd.op == UpdateOp::kInsertVertex) {
-    const bool existed = g_.has_vertex(upd.u);
-    g_.add_vertex_with_id(upd.u, upd.label);
-    if (!existed)
-      for (EvalClass& cls : classes_)
-        if (cls.active) cls.algorithm->on_vertex_added(upd.u);
-    return;
-  }
-  if (upd.op == UpdateOp::kRemoveVertex) {
-    if (!g_.has_vertex(upd.u)) return;
-    std::vector<GraphUpdate> removals;
-    for (const auto& nb : g_.neighbors(upd.u))
-      removals.push_back(GraphUpdate::remove_edge(upd.u, nb.v, nb.elabel));
-    for (const GraphUpdate& rm : removals) process_unsafe(rm, deadline, result);
-    g_.remove_vertex(upd.u);
-    for (EvalClass& cls : classes_)
-      if (cls.active) cls.algorithm->on_vertex_removed(upd.u);
-    return;
-  }
+// ---------------------------------------------------------------------------
+// Sequential path
 
+csm::UpdateOutcome MultiQueryEngine::process(const GraphUpdate& upd,
+                                             MultiStreamResult& into,
+                                             const util::Clock::time_point deadline,
+                                             const util::CancelView cancel) {
+  PARACOSM_TRACE_SPAN(update_span, obs::EventKind::kUpdate,
+                      static_cast<std::uint64_t>(upd.op), upd.u, upd.v);
+  if (into.positive.size() < slots_.size()) {
+    into.positive.resize(slots_.size(), 0);
+    into.negative.resize(slots_.size(), 0);
+    into.degraded.resize(slots_.size(), 0);
+  }
+  ensure_scratch(1);
+  csm::UpdateOutcome out;
+  switch (upd.op) {
+    case UpdateOp::kInsertEdge:
+    case UpdateOp::kRemoveEdge:
+      process_edge(upd, deadline, cancel, into, out);
+      break;
+    case UpdateOp::kInsertVertex: {
+      const bool existed = g_.has_vertex(upd.u);
+      g_.add_vertex_with_id(upd.u, upd.label);
+      if (!existed)
+        for (EvalClass& cls : classes_)
+          if (cls.active) cls.algorithm->on_vertex_added(upd.u);
+      out.applied = true;
+      break;
+    }
+    case UpdateOp::kRemoveVertex: {
+      if (!g_.has_vertex(upd.u)) break;
+      std::vector<GraphUpdate> removals;
+      for (const auto& nb : g_.neighbors(upd.u))
+        removals.push_back(GraphUpdate::remove_edge(upd.u, nb.v, nb.elabel));
+      for (const GraphUpdate& rm : removals) process_edge(rm, deadline, cancel, into, out);
+      g_.remove_vertex(upd.u);
+      for (EvalClass& cls : classes_)
+        if (cls.active) cls.algorithm->on_vertex_removed(upd.u);
+      out.applied = true;
+      break;
+    }
+  }
+  ClassifyScratch& s = scratch_.front();
+  into.mq.merge(s.mq);
+  s.mq = MultiQueryStats{};
+  return out;
+}
+
+void MultiQueryEngine::process_edge(const GraphUpdate& upd,
+                                    const util::Clock::time_point deadline,
+                                    const util::CancelView cancel,
+                                    MultiStreamResult& into, csm::UpdateOutcome& out) {
   const bool insert = upd.op == UpdateOp::kInsertEdge;
 
   // Resolve the actual edge label before seeding — deletion requests may
@@ -448,31 +583,31 @@ void MultiQueryEngine::process_unsafe(const GraphUpdate& upd,
   // prefix update may have changed an endpoint's degree or ADS state), so
   // the shared classification is re-run fresh here. In the independent-loop
   // baseline every class searches, as the original engine did.
+  util::ThreadCpuTimer serial;
   need_scratch_.reset();
-  bool need_any = false;
   if (shared_eval_) {
-    ensure_scratch(1);
     classify_shared(upd, scratch_.front(), &need_scratch_);
-    need_any = need_scratch_.any();
   } else {
-    for (std::size_t c = 0; c < classes_.size(); ++c) {
-      if (classes_[c].active) {
-        need_scratch_.set(c);
-        need_any = true;
-      }
-    }
+    for (std::size_t c = 0; c < classes_.size(); ++c)
+      if (classes_[c].active) need_scratch_.set(c);
   }
 
   if (insert) {
     if (!g_.add_edge(upd.u, upd.v, upd.label)) return;
     for (EvalClass& cls : classes_)
       if (cls.active) cls.algorithm->on_edge_inserted(upd);
-    if (need_any) run_searches(eff, /*positive=*/true, deadline, result);
+    out.applied = true;
+    into.stats.serial_ns += serial.elapsed_ns();
+    if (need_scratch_.any()) run_searches(eff, /*positive=*/true, deadline, cancel, into, out);
   } else {
-    if (need_any) run_searches(eff, /*positive=*/false, deadline, result);
+    into.stats.serial_ns += serial.elapsed_ns();
+    if (need_scratch_.any()) run_searches(eff, /*positive=*/false, deadline, cancel, into, out);
+    util::ThreadCpuTimer serial2;
     g_.remove_edge(upd.u, upd.v);
     for (EvalClass& cls : classes_)
       if (cls.active) cls.algorithm->on_edge_removed(eff);
+    out.applied = true;
+    into.stats.serial_ns += serial2.elapsed_ns();
   }
 }
 
@@ -480,83 +615,127 @@ void MultiQueryEngine::process_unsafe(const GraphUpdate& upd,
 // Stream loop
 
 MultiStreamResult MultiQueryEngine::process_stream(
-    const std::span<const GraphUpdate> stream, const util::Clock::time_point deadline) {
+    const std::span<const GraphUpdate> stream, const util::Clock::time_point deadline,
+    const util::CancelView cancel) {
   MultiStreamResult result;
+  util::WallTimer wall;
   result.positive.assign(slots_.size(), 0);
   result.negative.assign(slots_.size(), 0);
   result.degraded.assign(slots_.size(), 0);
-  const unsigned nthreads = runtime_.pool.size();
-  result.stats.ensure_size(nthreads);
-  ensure_scratch(nthreads);
+  result.stats.ensure_size(runtime_.pool.size());
+  ensure_scratch(runtime_.pool.size());
 
-  const unsigned k = config_.effective_batch_size();
+  const auto sequential = [&](const GraphUpdate& upd) {
+    const csm::UpdateOutcome out = process(upd, result, deadline, cancel);
+    result.nodes += out.nodes;
+    result.timed_out = result.timed_out || out.timed_out;
+    result.cancelled = result.cancelled || out.cancelled;
+    if (!out.applied) ++result.noop_skipped;
+    ++result.updates_processed;
+  };
+
+  const unsigned k = std::max(1u, config_.effective_batch_size());
+  const bool strict = config_.batch_mode == BatchMode::kStrict;
   std::size_t i = 0;
   while (i < stream.size()) {
     if (deadline_expired(deadline)) {
       result.timed_out = true;
       break;
     }
-    const std::size_t count = std::min<std::size_t>(k, stream.size() - i);
-
-    // Phase 1 — parallel combined classification (one shared pass per
-    // update instead of one classifier call per query).
-    if (safe_.size() < count) safe_.resize(count);
-    std::fill(safe_.begin(), safe_.begin() + static_cast<std::ptrdiff_t>(count), 0);
-    if (nthreads > 1 && count > 1) {
-      runtime_.pool.run([&](unsigned wid) {
-        util::ThreadCpuTimer timer;
-        ClassifyScratch& s = scratch_[wid];
-        for (std::size_t j = wid; j < count; j += nthreads)
-          safe_[j] = (shared_eval_ ? classify_shared(stream[i + j], s, nullptr)
-                                   : safe_for_all_legacy(stream[i + j]))
-                         ? 1
-                         : 0;
-        result.stats.workers[wid].busy_ns += timer.elapsed_ns();
-      });
-      result.stats.dispatch_ns += runtime_.pool.last_dispatch_ns();
-    } else {
-      util::ThreadCpuTimer timer;
-      ClassifyScratch& s = scratch_.front();
-      for (std::size_t j = 0; j < count; ++j)
-        safe_[j] = (shared_eval_ ? classify_shared(stream[i + j], s, nullptr)
-                                 : safe_for_all_legacy(stream[i + j]))
-                       ? 1
-                       : 0;
-      result.stats.serial_ns += timer.elapsed_ns();
+    if (!config_.inter_parallelism) {
+      sequential(stream[i++]);
+      continue;
     }
+    const std::size_t count = std::min<std::size_t>(k, stream.size() - i);
+    ++result.batches;
+#if defined(PARACOSM_TRACE_ENABLED)
+    // The batch span covers classify + safe-apply (phases 1–2b) and is
+    // recorded *before* the sequential unsafe update of phase 2c runs, so a
+    // trace never shows an unsafe kUpdate span inside a kBatch span — the
+    // integration test asserts exactly that nesting.
+    const std::int64_t trace_batch_t0 = obs::trace_level() >= 1 ? obs::now_ns() : 0;
+#endif
 
-    // Phase 2 — strict-mode safe prefix, applied in parallel.
-    touched_.prepare(2 * count);
-    std::size_t prefix = 0;
+    // Phase 1 — classification against the batch-start snapshot (read-only
+    // on graph and ADS).
+    classify_batch(stream.subspan(i, count), result);
+
+    // Phase 2a — commit plan (cheap, sequential): the safe prefix up to the
+    // first unsafe update (Figure 6) or, in strict mode, the first update
+    // whose endpoints were already touched in this batch (DESIGN.md §4).
+    if (strict) touched_.prepare(2 * count);
+    std::size_t safe_prefix = 0;
     bool hit_unsafe = false;
-    while (prefix < count) {
-      const GraphUpdate& upd = stream[i + prefix];
-      if (!safe_[prefix]) {
+    while (safe_prefix < count) {
+      const GraphUpdate& upd = stream[i + safe_prefix];
+      if (!is_safe(verdicts_[safe_prefix])) {
         hit_unsafe = true;
         break;
       }
-      if (upd.is_edge_op() &&
-          (touched_.contains(upd.u) || touched_.contains(upd.v)))
-        break;
-      if (upd.is_edge_op()) {
+      if (strict && upd.is_edge_op()) {
+        if (touched_.contains(upd.u) || touched_.contains(upd.v)) {
+          // Snapshot verdict may be stale: defer for re-classification.
+          ++result.deferred_conflicts;
+          break;
+        }
         touched_.insert(upd.u);
         touched_.insert(upd.v);
       }
-      ++prefix;
+      ++safe_prefix;
     }
-    if (prefix > 0) {
-      apply_safe_prefix(runtime_.pool, locks_, stream.subspan(i, prefix), result.stats,
-                        [this](const GraphUpdate& upd) { apply_safe(upd); });
-      result.safe_applied += prefix;
-      result.updates_processed += prefix;
+    for (std::size_t j = 0; j < safe_prefix + (hit_unsafe ? 1 : 0); ++j) {
+      ++result.classifier.total;
+      switch (verdicts_[j]) {
+        case UpdateClass::kSafeLabel: ++result.classifier.safe_label; break;
+        case UpdateClass::kSafeDegree: ++result.classifier.safe_degree; break;
+        case UpdateClass::kSafeAds: ++result.classifier.safe_ads; break;
+        case UpdateClass::kUnsafe: ++result.classifier.unsafe_updates; break;
+      }
     }
-    i += prefix;
 
+    // Phase 2b — apply the safe prefix in parallel: safety guarantees
+    // confine each application to its endpoints' adjacency and counter
+    // caches, and the striped per-vertex locks serialize the rare stripe
+    // collisions (in strict mode the endpoints are pairwise disjoint).
+    if (safe_prefix > 0) {
+#ifdef PARACOSM_VERIFY
+      // Metamorphic invariant (verify/invariants.hpp): a safe-classified
+      // update must not flip ADS state, so a whole batch of them must leave
+      // every class's rolling checksum bit-identical. Reading them only at
+      // the batch boundaries keeps the check outside the window where
+      // workers mutate counter caches concurrently.
+      const auto ads_checksums = [this] {
+        std::vector<std::uint64_t> sums;
+        for (const EvalClass& cls : classes_)
+          if (cls.active) sums.push_back(cls.algorithm->ads_checksum());
+        return sums;
+      };
+      const std::vector<std::uint64_t> verify_ads_before = ads_checksums();
+#endif
+      apply_safe_prefix(runtime_.pool, locks_, stream.subspan(i, safe_prefix),
+                        result.stats, [this](const GraphUpdate& upd) { apply_safe(upd); });
+#ifdef PARACOSM_VERIFY
+      if (ads_checksums() != verify_ads_before)
+        throw std::logic_error(
+            "PARACOSM_VERIFY: a safe-classified batch mutated the ADS "
+            "checksum — the classifier or an ads_safe rule is unsound");
+#endif
+      result.safe_applied += safe_prefix;
+      result.updates_processed += safe_prefix;
+    }
+#if defined(PARACOSM_TRACE_ENABLED)
+    if (obs::trace_level() >= 1)
+      obs::trace_complete(obs::EventKind::kBatch, trace_batch_t0, result.batches - 1,
+                          count, safe_prefix);
+#endif
+    i += safe_prefix;
+
+    // Phase 2c — the unsafe update runs sequentially (ADS) with the
+    // inner-update executor searching; the batch remainder is deferred.
     if (hit_unsafe) {
       ++result.unsafe_sequential;
-      process_unsafe(stream[i], deadline, result);
-      ++result.updates_processed;
-      ++i;
+      sequential(stream[i++]);
+      result.deferred_after_unsafe += count - safe_prefix - 1;
     }
   }
 
@@ -564,6 +743,7 @@ MultiStreamResult MultiQueryEngine::process_stream(
     result.mq.merge(s.mq);
     s.mq = MultiQueryStats{};
   }
+  result.wall_ns = wall.elapsed_ns();
   return result;
 }
 

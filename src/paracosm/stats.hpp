@@ -196,7 +196,7 @@ struct MultiQueryStats {
 /// classified lane, including those of deferred batch tails (ClassifierStats
 /// counts only committed verdicts). Conservation contract (asserted by
 /// test_obs_integration): `lanes` equals the sum of the four verdict
-/// counters, and `batches` == StreamResult::batches (inter-parallel mode).
+/// counters, and `batches` == StreamCounters::batches (inter-parallel mode).
 struct BatchBackendStats {
   std::uint64_t batches = 0;  ///< batches classified
   std::uint64_t lanes = 0;    ///< updates (lanes) classified
@@ -236,6 +236,35 @@ struct ClassifierStats {
     safe_ads += other.safe_ads;
     unsafe_updates += other.unsafe_updates;
   }
+};
+
+/// Counters of one pass of the batch pipeline (MultiQueryEngine::
+/// process_stream, DESIGN.md §4) over a stream. The single-query
+/// (StreamResult) and multi-query (MultiStreamResult) results both derive
+/// from it, so each counter has one definition.
+struct StreamCounters {
+  std::uint64_t nodes = 0;  ///< search-tree nodes expanded
+  std::uint64_t updates_processed = 0;
+  std::uint64_t noop_skipped = 0;  ///< updates that left the graph unchanged
+  bool timed_out = false;
+  bool cancelled = false;  ///< some search was cut short by a CancelToken
+
+  ClassifierStats classifier;  ///< phase-1 verdicts of committed updates
+  std::uint64_t batches = 0;
+  std::uint64_t safe_applied = 0;
+  std::uint64_t unsafe_sequential = 0;
+  std::uint64_t deferred_after_unsafe = 0;
+  std::uint64_t deferred_conflicts = 0;  ///< strict mode only
+
+  /// Classify-pass counters for this stream. In inter-parallel mode
+  /// backend_cpu.batches == batches.
+  BatchBackendStats backend_cpu;
+  /// Always zero. Kept only because benchmark/src/workloads.cpp reads its
+  /// `lanes`.
+  BatchBackendStats backend_wide;
+
+  ParallelStats stats;
+  std::int64_t wall_ns = 0;
 };
 
 }  // namespace paracosm::engine

@@ -99,29 +99,38 @@ std::vector<Divergence> check_multi_case(const FuzzCase& c,
   }
 
   // Lane "static": shared engine at every thread count, plus the sharing-off
-  // baseline at the first one.
-  for (std::size_t variant = 0; variant < opts.thread_counts.size() + 1; ++variant) {
-    const bool sharing = variant < opts.thread_counts.size();
-    const unsigned threads =
-        sharing ? opts.thread_counts[variant] : opts.thread_counts.front();
+  // baseline at the first one and the sequential path (inter-update
+  // parallelism off) at the last one.
+  struct Cell {
+    unsigned threads;
+    bool sharing;
+    bool inter;
+    const char* lane;
+  };
+  std::vector<Cell> cells;
+  for (const unsigned threads : opts.thread_counts)
+    cells.push_back({threads, true, true, "static"});
+  cells.push_back({opts.thread_counts.front(), false, true, "static/no-share"});
+  cells.push_back({opts.thread_counts.back(), true, false, "static/sequential"});
+  for (const Cell& cell : cells) {
     graph::DataGraph g = c.graph;
     Config cfg;
-    cfg.threads = threads;
+    cfg.threads = cell.threads;
+    cfg.inter_parallelism = cell.inter;
     MultiQueryEngine engine(g, cfg);
-    engine.set_shared_evaluation(sharing);
+    engine.set_shared_evaluation(cell.sharing);
     std::vector<std::size_t> handles;
     for (const Registration& reg : regs)
       handles.push_back(engine.add_query(reg.algorithm, c.queries[reg.query_index]));
     const MultiStreamResult res = engine.process_stream(c.stream);
-    const char* lane = sharing ? "static" : "static/no-share";
     for (std::size_t r = 0; r < regs.size(); ++r) {
       const std::size_t h = handles[r];
       const Totals got_t{res.positive[h], res.negative[h]};
       if (got_t.positive != expected[r].positive ||
           got_t.negative != expected[r].negative) {
-        out.push_back(make_divergence(c, regs[r], threads,
+        out.push_back(make_divergence(c, regs[r], cell.threads,
                                       static_cast<std::uint32_t>(r),
-                                      totals_message(lane, h, got_t, expected[r])));
+                                      totals_message(cell.lane, h, got_t, expected[r])));
         if (opts.stop_at_first) return out;
       }
     }

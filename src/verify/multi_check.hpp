@@ -6,8 +6,9 @@
 // The lanes:
 //
 //   static      — all queries registered up front; the shared engine at every
-//                 thread count, plus the sharing-off baseline engine, must
-//                 match the independent runs exactly. This is the acceptance
+//                 thread count, the sharing-off baseline engine and the
+//                 sequential path (inter-update parallelism off) must match
+//                 the independent runs exactly. This is the acceptance
 //                 property behind the scaling bench: sharing buys speed, never
 //                 counts.
 //   churn       — runtime registration: half the stream runs with the initial

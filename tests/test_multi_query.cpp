@@ -118,6 +118,97 @@ TEST(MultiQueryEngine, SafeOnlyWhenSafeForEveryQuery) {
   EXPECT_EQ(result.positive[1], 1u);
 }
 
+// Config::inter_parallelism and Config::batch_mode reach the engine. With
+// inter-update parallelism off every update takes the sequential path (no
+// batches, nothing batch-applied) and ΔM is unchanged; paper mode drops the
+// strict endpoint-conflict deferral on three safe inserts sharing a hub.
+TEST(MultiQueryEngine, HonorsInterParallelismAndBatchMode) {
+  util::Rng rng(4321);
+  graph::DataGraph base = graph::generate_erdos_renyi(36, 90, 3, 2, rng);
+  std::vector<graph::QueryGraph> queries;
+  for (int i = 0; i < 2; ++i) {
+    const auto q = graph::extract_query(base, 4, rng);
+    ASSERT_TRUE(q.has_value());
+    queries.push_back(*q);
+  }
+  const auto stream = graph::make_mixed_stream(base, 0.3, 0.4, rng);
+  const auto run = [&](const bool inter) {
+    graph::DataGraph g = base;
+    Config cfg;
+    cfg.threads = 2;
+    cfg.inter_parallelism = inter;
+    MultiQueryEngine engine(g, cfg);
+    engine.add_query("symbi", queries[0]);
+    engine.add_query("graphflow", queries[1]);
+    return engine.process_stream(stream);
+  };
+  const MultiStreamResult batched = run(true);
+  const MultiStreamResult sequential = run(false);
+  EXPECT_GT(batched.batches, 0u);
+  EXPECT_GT(batched.safe_applied, 0u);
+  EXPECT_EQ(sequential.batches, 0u);
+  EXPECT_EQ(sequential.safe_applied, 0u);
+  EXPECT_EQ(sequential.updates_processed, stream.size());
+  EXPECT_GT(batched.total_matches(), 0u);
+  EXPECT_EQ(sequential.positive, batched.positive);
+  EXPECT_EQ(sequential.negative, batched.negative);
+
+  // The stream of ParaCosmBatchModes.StrictModeDefersEndpointConflicts.
+  graph::DataGraph hub_graph;
+  hub_graph.add_vertex(0);
+  hub_graph.add_vertex(1);
+  const auto hub = hub_graph.add_vertex(5);
+  const auto a = hub_graph.add_vertex(5);
+  const auto b = hub_graph.add_vertex(5);
+  const auto c = hub_graph.add_vertex(5);
+  hub_graph.add_edge(0, 1, 0);
+  const std::vector<graph::GraphUpdate> hub_stream{
+      graph::GraphUpdate::insert_edge(hub, a, 0),
+      graph::GraphUpdate::insert_edge(hub, b, 0),
+      graph::GraphUpdate::insert_edge(hub, c, 0),
+  };
+  for (const engine::BatchMode mode : {engine::BatchMode::kPaper, engine::BatchMode::kStrict}) {
+    graph::DataGraph g = hub_graph;
+    Config cfg;
+    cfg.threads = 2;
+    cfg.batch_size = 3;
+    cfg.batch_mode = mode;
+    MultiQueryEngine engine(g, cfg);
+    engine.add_query("graphflow", graph::QueryGraph({0, 1}, {{0, 1, 0}}));
+    const MultiStreamResult r = engine.process_stream(hub_stream);
+    const bool strict = mode == engine::BatchMode::kStrict;
+    EXPECT_EQ(r.deferred_conflicts, strict ? 2u : 0u) << (strict ? "strict" : "paper");
+    EXPECT_EQ(r.updates_processed, 3u);
+    EXPECT_EQ(r.total_matches(), 0u);
+    EXPECT_EQ(g.degree(hub), 3u);
+  }
+}
+
+// With no registration every edge update is trivially safe, but vertex ops
+// and structurally invalid edges still need the sequential path: the batch
+// apply knows only edge inserts and removals.
+TEST(MultiQueryEngine, EmptyCatalogueAppliesVertexOps) {
+  graph::DataGraph g;
+  g.add_vertex(0);
+  g.add_vertex(1);
+  Config cfg;
+  cfg.threads = 2;
+  cfg.batch_size = 4;
+  MultiQueryEngine engine(g, cfg);
+  const std::vector<graph::GraphUpdate> stream{
+      graph::GraphUpdate::insert_vertex(7, 1),
+      graph::GraphUpdate::insert_edge(7, 0, 0),
+      graph::GraphUpdate::insert_edge(0, 1, 0),
+      graph::GraphUpdate::remove_vertex(1),
+  };
+  const MultiStreamResult r = engine.process_stream(stream);
+  EXPECT_EQ(r.updates_processed, stream.size());
+  EXPECT_TRUE(g.has_vertex(7));
+  EXPECT_TRUE(g.has_edge(7, 0));
+  EXPECT_FALSE(g.has_vertex(1));
+  EXPECT_EQ(g.degree(0), 1u);
+}
+
 TEST(MultiQueryEngine, HandlesVertexOps) {
   util::Rng rng(888);
   graph::DataGraph base = graph::generate_erdos_renyi(24, 60, 2, 1, rng);

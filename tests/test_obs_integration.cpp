@@ -131,12 +131,14 @@ TEST(ObsIntegration, SpanTreeMatchesEngineAccounting) {
   // Exact correspondence between the trace and the engine's own counters:
   // one kUpdate span per unsafe (sequentially processed) update, one
   // kSafeApply instant per batch-applied safe update, one kBatch span per
-  // batch, and at least one kClassify span per processed update (deferred
-  // updates are re-classified in a later batch).
+  // batch, and one kMultiClassify span per classified lane (the engine's
+  // shared phase-1 pass; deferred updates are re-classified in a later
+  // batch, and the unsafe path's re-check records none).
   EXPECT_EQ(trace.count(EventKind::kUpdate), res.unsafe_sequential);
   EXPECT_EQ(trace.count(EventKind::kSafeApply), res.safe_applied);
   EXPECT_EQ(trace.count(EventKind::kBatch), res.batches);
-  EXPECT_GE(trace.count(EventKind::kClassify), res.updates_processed);
+  EXPECT_EQ(trace.count(EventKind::kMultiClassify), res.backend_cpu.lanes);
+  EXPECT_GE(trace.count(EventKind::kMultiClassify), res.updates_processed);
   // One kBatchBackend completion per classified batch, matching the
   // classify-pass counters.
   EXPECT_EQ(trace.count(EventKind::kBatchBackend), res.batches);
@@ -160,7 +162,7 @@ TEST(ObsIntegration, SpanTreeMatchesEngineAccounting) {
 
   // Batch spans cover classify + safe-apply only: classification spans and
   // safe-apply instants land inside them, unsafe update spans never do.
-  for (const Interval& c : trace.intervals(EventKind::kClassify))
+  for (const Interval& c : trace.intervals(EventKind::kMultiClassify))
     EXPECT_TRUE(contained_in_any(batches, c))
         << "classify span outside every batch span";
   for (const Interval& s : trace.intervals(EventKind::kSafeApply))

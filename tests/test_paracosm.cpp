@@ -6,6 +6,7 @@
 
 #include "paracosm/paracosm.hpp"
 #include "csm/oracle.hpp"
+#include "paracosm/classifier.hpp"
 #include "tests/test_support.hpp"
 
 namespace paracosm::testing {
@@ -221,6 +222,63 @@ TEST(ParaCosmBatchModes, PaperModeAgreesOnStandardWorkloads) {
     EXPECT_EQ(r.deferred_conflicts, 0u);
   }
 }
+
+// Figure 12 and Table 4 are read from the per-stage ClassifierStats. With one
+// update per batch every classified update is committed, so the engine's
+// counts must equal the reference three-stage classifier tallied on a
+// sequential mirror just before each update is processed.
+class ParaCosmClassifierStats
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {};
+
+TEST_P(ParaCosmClassifierStats, StageCountsMatchReferenceClassifier) {
+  const auto& [name, seed] = GetParam();
+  SmallWorkload wl = make_workload(seed, 36, 90, 3, 2, 4);
+
+  auto ref_alg = csm::make_algorithm(name);
+  graph::DataGraph mirror = wl.graph;
+  csm::SequentialEngine eng(*ref_alg, wl.query, mirror);
+  const engine::UpdateClassifier reference(wl.query, mirror, *ref_alg);
+  engine::ClassifierStats want;
+  for (const auto& upd : wl.stream) {
+    ++want.total;
+    switch (reference.classify(upd)) {
+      case engine::UpdateClass::kSafeLabel: ++want.safe_label; break;
+      case engine::UpdateClass::kSafeDegree: ++want.safe_degree; break;
+      case engine::UpdateClass::kSafeAds: ++want.safe_ads; break;
+      case engine::UpdateClass::kUnsafe: ++want.unsafe_updates; break;
+    }
+    (void)eng.process(upd);
+  }
+
+  auto alg = csm::make_algorithm(name);
+  Config cfg;
+  cfg.threads = 1;
+  cfg.batch_size = 1;
+  graph::DataGraph g = wl.graph;
+  ParaCosm pc(*alg, wl.query, g, cfg);
+  const StreamResult r = pc.process_stream(wl.stream);
+  EXPECT_EQ(r.classifier.total, want.total);
+  EXPECT_EQ(r.classifier.safe_label, want.safe_label);
+  EXPECT_EQ(r.classifier.safe_degree, want.safe_degree);
+  EXPECT_EQ(r.classifier.safe_ads, want.safe_ads);
+  EXPECT_EQ(r.classifier.unsafe_updates, want.unsafe_updates);
+  EXPECT_GT(want.safe(), 0u) << "stream exercised no filter stage";
+  EXPECT_GT(want.unsafe_updates, 0u) << "stream exercised no unsafe update";
+}
+
+std::vector<std::string> algorithm_name_strings() {
+  std::vector<std::string> names;
+  for (const auto name : csm::algorithm_names()) names.emplace_back(name);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllAlgorithms, ParaCosmClassifierStats,
+    ::testing::Combine(::testing::ValuesIn(algorithm_name_strings()),
+                       ::testing::Values(3ULL, 14ULL, 25ULL)),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, std::uint64_t>>& info) {
+      return std::get<0>(info.param) + "_seed" + std::to_string(std::get<1>(info.param));
+    });
 
 // Strict mode must defer the second of two safe updates sharing an endpoint
 // within one batch — and still produce the correct result.

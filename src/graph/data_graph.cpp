@@ -248,13 +248,15 @@ std::uint32_t DataGraph::num_edge_labels() const {
 }
 
 bool DataGraph::same_structure(const DataGraph& other) const {
-  if (vertex_capacity() != other.vertex_capacity()) return false;
   if (num_edges() != other.num_edges()) return false;
-  for (VertexId u = 0; u < vertices_.size(); ++u) {
+  // Capacity is not structure: a graph reloaded from a snapshot, which
+  // lists alive vertices only, has no slots for dead trailing ids.
+  const std::size_t n = std::max(vertices_.size(), other.vertices_.size());
+  for (VertexId u = 0; u < n; ++u) {
+    if (has_vertex(u) != other.has_vertex(u)) return false;
+    if (!has_vertex(u)) continue;
     const VertexRec& a = vertices_[u];
     const VertexRec& b = other.vertices_[u];
-    if (a.alive != b.alive) return false;
-    if (!a.alive) continue;
     if (a.label != b.label) return false;
     if (a.nbrs.size() != b.nbrs.size()) return false;
     // The (label, id) sort is canonical given equal labels, so element-wise

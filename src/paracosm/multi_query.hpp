@@ -124,6 +124,14 @@ class MultiQueryEngine {
 
   [[nodiscard]] std::size_t num_queries() const noexcept { return active_queries_; }
   [[nodiscard]] std::size_t num_slots() const noexcept { return slots_.size(); }
+  /// The algorithm instance evaluating `handle` (shared by every member of
+  /// its class), or null for a free handle: its name() and ads_checksum()
+  /// are what a service snapshot header records (service/wal.hpp).
+  [[nodiscard]] const csm::CsmAlgorithm* algorithm(std::size_t handle) const noexcept {
+    return handle < slots_.size() && slots_[handle].active
+               ? classes_[slots_[handle].class_id].algorithm
+               : nullptr;
+  }
   /// Distinct evaluation classes currently active (== num_queries() when
   /// sharing is off or all patterns differ).
   [[nodiscard]] std::size_t num_classes() const noexcept { return active_classes_; }

@@ -62,6 +62,13 @@ class ParaCosm {
   [[nodiscard]] csm::CsmAlgorithm& algorithm() noexcept { return alg_; }
   [[nodiscard]] graph::DataGraph& graph() noexcept { return engine_.graph(); }
 
+  /// The engine, and the result process() accumulates into. A StreamService
+  /// serving this ParaCosm processes through both (service/service.hpp), so
+  /// accumulated_stats() covers the served updates; the accumulator's
+  /// per-handle counts and `mq` belong to that service.
+  [[nodiscard]] MultiQueryEngine& engine() noexcept { return engine_; }
+  [[nodiscard]] MultiStreamResult& accumulator() noexcept { return loose_; }
+
   /// Stats accumulated by process() calls made outside process_stream().
   [[nodiscard]] const ParallelStats& accumulated_stats() const noexcept {
     return loose_.stats;

@@ -106,7 +106,7 @@ std::size_t IngestQueue::approx_size() const noexcept {
 
 PushResult IngestQueue::push(const graph::GraphUpdate& upd) {
   if (closed()) return PushResult::kClosed;
-  IngestItem item{upd, false};
+  IngestItem item{upd, false, nullptr};
   if (try_push(item)) {
     enqueued_.fetch_add(1, std::memory_order_relaxed);
     note_depth();
@@ -135,6 +135,16 @@ PushResult IngestQueue::push(const graph::GraphUpdate& upd) {
   if (item.degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
   note_depth();
   return item.degraded ? PushResult::kDegraded : PushResult::kOk;
+}
+
+void IngestQueue::push_admin(AdminOp* op) {
+  IngestItem item;
+  item.admin = op;
+  Backoff backoff;
+  while (!closed()) {
+    if (try_push(item)) return;
+    backoff.wait();
+  }
 }
 
 bool IngestQueue::pop_wait(IngestItem& out) {

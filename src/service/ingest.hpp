@@ -46,11 +46,18 @@ enum class PushResult : std::uint8_t {
   kClosed,    ///< queue closed; nothing admitted
 };
 
+/// A catalogue change or barrier from StreamService's admin plane
+/// (service.hpp), defined in service.cpp.
+struct AdminOp;
+
 /// One admitted ring entry. `degraded` rides with the update so the consumer
 /// knows to suppress per-mapping delivery for exactly the overload victims.
+/// A non-null `admin` makes the entry an admin op instead of an update: it
+/// travels in-band, so it is ordered with the updates around it.
 struct IngestItem {
   graph::GraphUpdate upd;
   bool degraded = false;
+  AdminOp* admin = nullptr;
 };
 
 class IngestQueue {
@@ -63,6 +70,11 @@ class IngestQueue {
 
   /// Producer side; applies the overload policy at the full-ring edge.
   [[nodiscard]] PushResult push(const graph::GraphUpdate& upd);
+
+  /// Admit an admin op, backing off while the ring is full whatever the
+  /// policy: admin ops are never shed or degraded, and stats() does not count
+  /// them. A closed queue drops the op.
+  void push_admin(AdminOp* op);
 
   /// Consumer side: blocks (spin → yield → sleep backoff) until an item
   /// arrives or the queue is closed *and* drained. Returns false on the

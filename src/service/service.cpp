@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <numeric>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace_ring.hpp"
+#include "util/checksum.hpp"
 
 namespace paracosm::service {
 
@@ -21,6 +24,10 @@ namespace {
 
 void nap(std::int64_t ns) {
   std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
+}
+
+[[nodiscard]] std::uint64_t sum(const std::vector<std::uint64_t>& v) noexcept {
+  return std::accumulate(v.begin(), v.end(), std::uint64_t{0});
 }
 
 }  // namespace
@@ -81,9 +88,27 @@ void Watchdog::run() {
 
 // ------------------------------------------------------------ StreamService
 
-StreamService::StreamService(engine::ParaCosm& engine, ServiceOptions opts,
+/// One admin-plane request, living on the caller's stack while it waits.
+struct AdminOp {
+  std::function<void()> fn;
+  bool done = false;  ///< guarded by admin_m_
+  std::exception_ptr error;
+};
+
+StreamService::StreamService(engine::MultiQueryEngine& engine, ServiceOptions opts,
+                             FaultHooks hooks)
+    : StreamService(engine, nullptr, std::move(opts), std::move(hooks)) {}
+
+StreamService::StreamService(engine::ParaCosm& pc, ServiceOptions opts,
+                             FaultHooks hooks)
+    : StreamService(pc.engine(), &pc.accumulator(), std::move(opts),
+                    std::move(hooks)) {}
+
+StreamService::StreamService(engine::MultiQueryEngine& engine,
+                             engine::MultiStreamResult* into, ServiceOptions opts,
                              FaultHooks hooks)
     : engine_(engine),
+      into_(into != nullptr ? *into : own_),
       opts_(std::move(opts)),
       hooks_(std::move(hooks)),
       queue_(opts_.queue_capacity, opts_.policy),
@@ -95,11 +120,14 @@ StreamService::StreamService(engine::ParaCosm& engine, ServiceOptions opts,
     seq_ = wal_->next_seq();
   }
   if (budget_ns_ > 0) watchdog_.emplace();
-  // The engine-side observer is installed once; `deliver_` (consumer-thread
-  // only) gates it off for updates degraded to count-only.
-  engine_.set_match_callback([this](std::span<const csm::Assignment> m) {
-    if (deliver_ && on_match_) on_match_(m);
-  });
+  // The report counts this service's updates only.
+  into_.positive.clear();
+  into_.negative.clear();
+  into_.degraded.clear();
+  into_.mq = {};
+  // The service owns delivery: observers earlier installed on the engine go
+  // quiet, and set_match_callback installs the service's own.
+  for (std::size_t h = 0; h < engine_.num_slots(); ++h) observe(h);
   consumer_ = std::thread([this] { consumer_loop(); });
   // Report wall time from "ready to serve": thread spawns above are one-time
   // setup, not serving cost (they would otherwise dominate short benches).
@@ -120,12 +148,91 @@ PushResult StreamService::submit(const graph::GraphUpdate& upd) {
   return r;
 }
 
+void StreamService::observe(const std::size_t handle) {
+  // Only a caller's observer makes the engine build mappings: count-only
+  // serving leaves every handle without one. `deliver_` (consumer-thread
+  // only) gates it off for updates degraded to count-only.
+  engine::MultiQueryEngine::MatchCallback cb;
+  if (on_match_)
+    cb = [this, handle](std::span<const csm::Assignment> m) {
+      if (deliver_) on_match_(handle, m);
+    };
+  engine_.set_match_callback(handle, std::move(cb));
+}
+
+void StreamService::set_match_callback(MatchCallback cb) {
+  on_match_ = std::move(cb);
+  for (std::size_t h = 0; h < engine_.num_slots(); ++h) observe(h);
+}
+
+void StreamService::run_on_consumer(std::function<void()> fn) {
+  AdminOp op;
+  op.fn = std::move(fn);
+  // A closed ring drops the op. Only finish() and a failing consumer close
+  // it, and either way the consumer exits, so the wait below ends.
+  queue_.push_admin(&op);
+  std::unique_lock<std::mutex> lk(admin_m_);
+  admin_cv_.wait(lk, [&] { return op.done || consumer_exited_; });
+  if (!op.done) {
+    // finish() may not race admin ops, so an op the consumer never reached
+    // came after finish() or after a failure, whose error_ was written
+    // before the consumer took admin_m_.
+    if (!error_.empty())
+      throw std::runtime_error("StreamService: consumer failed: " + error_);
+    throw std::logic_error("StreamService: admin op after finish()");
+  }
+  if (op.error) std::rethrow_exception(op.error);
+}
+
+std::size_t StreamService::add_query(std::string_view algorithm,
+                                     graph::QueryGraph query,
+                                     engine::QueryOptions qopts) {
+  std::size_t handle = 0;
+  run_on_consumer([&] {
+    handle = engine_.add_query(algorithm, std::move(query), qopts);
+    observe(handle);
+  });
+  return handle;
+}
+
+bool StreamService::remove_query(const std::size_t handle) {
+  bool removed = false;
+  run_on_consumer([&] { removed = engine_.remove_query(handle); });
+  return removed;
+}
+
+void StreamService::drain() {
+  run_on_consumer([] {});
+}
+
+void StreamService::run_admin(AdminOp& op) {
+  // Every admin op is a barrier: the ring ahead of it has been processed,
+  // and so is the defer log, so under kShed no update submitted before the
+  // op is applied after it.
+  drain_deferred();
+  try {
+    op.fn();
+  } catch (...) {
+    op.error = std::current_exception();
+  }
+  {
+    std::lock_guard<std::mutex> lk(admin_m_);
+    op.done = true;
+  }
+  admin_cv_.notify_all();
+}
+
 bool StreamService::pop_deferred(graph::GraphUpdate& out) {
   std::lock_guard<std::mutex> lk(defer_m_);
   if (defer_log_.empty()) return false;
   out = defer_log_.front();
   defer_log_.pop_front();
   return true;
+}
+
+void StreamService::drain_deferred() {
+  graph::GraphUpdate upd;
+  while (pop_deferred(upd)) process_one(upd, /*degraded=*/false, /*deferred=*/true);
 }
 
 void StreamService::retry_deferred() {
@@ -155,18 +262,25 @@ void StreamService::consumer_loop() {
   try {
     IngestItem item;
     while (queue_.pop_wait(item)) {
+      if (item.admin != nullptr) {
+        run_admin(*item.admin);
+        continue;
+      }
       if (hooks_.slow_consumer) hooks_.slow_consumer();
       process_one(item.upd, item.degraded, /*deferred=*/false);
       retry_deferred();
     }
     // Shutdown drain: shed updates are delayed, never dropped.
-    graph::GraphUpdate upd;
-    while (pop_deferred(upd))
-      process_one(upd, /*degraded=*/false, /*deferred=*/true);
+    drain_deferred();
   } catch (const std::exception& e) {
     error_ = e.what();
     queue_.close();  // stop admitting; producers see kClosed
   }
+  {
+    std::lock_guard<std::mutex> lk(admin_m_);
+    consumer_exited_ = true;
+  }
+  admin_cv_.notify_all();
 }
 
 void StreamService::process_one(const graph::GraphUpdate& upd, bool degraded,
@@ -222,7 +336,7 @@ void StreamService::process_one(const graph::GraphUpdate& upd, bool degraded,
   }
 
   deliver_ = !degraded;
-  const csm::UpdateOutcome out = engine_.process(upd, {}, view);
+  const csm::UpdateOutcome out = engine_.process(upd, into_, {}, view);
   deliver_ = true;
   if (armed_watchdog) watchdog_->disarm(epoch);
 
@@ -230,8 +344,6 @@ void StreamService::process_one(const graph::GraphUpdate& upd, bool degraded,
   if (deferred) ++stats_.deferred_retries;
   if (out.cancelled) ++stats_.degraded_searches;
   if (!out.applied) ++stats_.noop_skipped;
-  positive_ += out.positive;
-  negative_ += out.negative;
   latency_hist_.record(timer.elapsed_ns());
   if (opts_.record_applied_order) applied_order_.push_back(upd);
 
@@ -247,12 +359,32 @@ void StreamService::maybe_snapshot() {
   if (opts_.snapshot_path.empty() || opts_.snapshot_every == 0) return;
   if (++since_snapshot_ < opts_.snapshot_every) return;
   since_snapshot_ = 0;
+  write_snapshot(opts_.snapshot_path, engine_.graph(), snapshot_meta());
+  ++stats_.snapshots;
+}
+
+SnapshotMeta StreamService::snapshot_meta() const {
+  // One registration writes its own name and checksum; several write every
+  // name in handle order and fold their checksums (wal.hpp).
   SnapshotMeta meta;
   meta.seq = seq_;
-  meta.ads_checksum = engine_.algorithm().ads_checksum();
-  meta.algorithm = std::string(engine_.algorithm().name());
-  write_snapshot(opts_.snapshot_path, engine_.graph(), meta);
-  ++stats_.snapshots;
+  bool first = true;
+  for (std::size_t h = 0; h < engine_.num_slots(); ++h) {
+    const csm::CsmAlgorithm* alg = engine_.algorithm(h);
+    if (alg == nullptr) continue;
+    const std::uint64_t ads = alg->ads_checksum();
+    if (first) {
+      meta.ads_checksum = ads;
+    } else {
+      meta.ads_checksum = util::fnv1a_word(
+          util::fnv1a_word(meta.ads_checksum, static_cast<std::uint32_t>(ads)),
+          static_cast<std::uint32_t>(ads >> 32));
+      meta.algorithm += ',';
+    }
+    meta.algorithm += alg->name();
+    first = false;
+  }
+  return meta;
 }
 
 void StreamService::maybe_flush_metrics() {
@@ -283,8 +415,10 @@ void StreamService::flush_metrics() {
   snap.add_counter("service.watchdog_cancels",
                    static_cast<std::int64_t>(
                        watchdog_ ? watchdog_->cancels() : 0));
-  snap.add_counter("service.positive", static_cast<std::int64_t>(positive_));
-  snap.add_counter("service.negative", static_cast<std::int64_t>(negative_));
+  snap.add_counter("service.positive",
+                   static_cast<std::int64_t>(sum(into_.positive)));
+  snap.add_counter("service.negative",
+                   static_cast<std::int64_t>(sum(into_.negative)));
   snap.add_histogram("service.latency_ns", latency_hist_);
   snap.write(opts_.metrics_path);
   ++stats_.metrics_flushes;
@@ -304,11 +438,7 @@ ServiceReport StreamService::finish() {
     // joined, so this captures the true final state without racing anything.
     if (opts_.snapshot_on_finish && !opts_.snapshot_path.empty() &&
         error_.empty()) {
-      SnapshotMeta meta;
-      meta.seq = seq_;
-      meta.ads_checksum = engine_.algorithm().ads_checksum();
-      meta.algorithm = std::string(engine_.algorithm().name());
-      write_snapshot(opts_.snapshot_path, engine_.graph(), meta);
+      write_snapshot(opts_.snapshot_path, engine_.graph(), snapshot_meta());
       ++stats_.snapshots;
     }
     // Final snapshot (even when the stream was shorter than metrics_every),
@@ -316,8 +446,17 @@ ServiceReport StreamService::finish() {
     // thread has joined, so writing from here cannot race a periodic flush.
     if (!opts_.metrics_path.empty()) flush_metrics();
     r.stats = stats_;
-    r.positive = positive_;
-    r.negative = negative_;
+    // One entry per slot, including those added after the last update.
+    const std::size_t slots = engine_.num_slots();
+    r.handle_positive = into_.positive;
+    r.handle_negative = into_.negative;
+    r.handle_degraded = into_.degraded;
+    r.handle_positive.resize(slots, 0);
+    r.handle_negative.resize(slots, 0);
+    r.handle_degraded.resize(slots, 0);
+    r.positive = sum(r.handle_positive);
+    r.negative = sum(r.handle_negative);
+    r.mq = into_.mq;
     r.wall_ns = wall_.elapsed_ns();
     r.latency = latency_hist_;
     r.applied_order = std::move(applied_order_);

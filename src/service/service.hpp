@@ -1,12 +1,13 @@
 // StreamService: the overload-resilient front door (DESIGN.md §7).
 //
-// Producers push updates into the bounded ingest ring (ingest.hpp); one
-// consumer thread drains it and, per update, walks the durability + deadline
-// pipeline:
+// The service serves a query catalogue: every registration of one
+// MultiQueryEngine, which a ParaCosm is with one registration. Producers push
+// updates into the bounded ingest ring (ingest.hpp); one consumer thread
+// drains it and, per update, walks the durability + deadline pipeline:
 //
 //   pop → [slow-consumer fault] → WAL append + flush → [crash hook]
 //       → arm CancelToken (+ watchdog when a budget is set)
-//       → ParaCosm::process → disarm → account
+//       → MultiQueryEngine::process → disarm → account
 //
 // The WAL append happens *before* the engine applies the update (redo
 // semantics, wal.hpp); the crash-recovery tests kill the process exactly in
@@ -22,10 +23,20 @@
 // half capacity (checked with exponential backoff while pressure persists)
 // and unconditionally drains the log at shutdown: shed updates are delayed,
 // never dropped. kDegrade admits the update flagged count-only: per-mapping
-// delivery is suppressed but ΔM counts and all state stay exact.
+// delivery is suppressed for every handle but ΔM counts and all state stay
+// exact.
 //
-// Threading contract: any number of submit() callers; finish() must not race
-// submit(); the match callback must be installed before the first submit.
+// The admin plane (add_query, remove_query, drain) changes the catalogue
+// while the stream is live. An admin op travels through the ring as an
+// in-band item, so the per-update path pays nothing for it; the consumer
+// first empties the defer log, then applies the op between two updates,
+// and the caller blocks until it has. Catalogue changes are not logged: a
+// recovering caller rebuilds the catalogue from its own schedule (DESIGN.md
+// §7).
+//
+// Threading contract: any number of submit() callers; admin ops come from
+// one control thread; neither submit() nor an admin op may race finish();
+// the match callback must be installed before the first submit or admin op.
 #pragma once
 
 #include <condition_variable>
@@ -40,6 +51,7 @@
 #include <vector>
 
 #include "obs/histogram.hpp"
+#include "paracosm/multi_query.hpp"
 #include "paracosm/paracosm.hpp"
 #include "service/fault.hpp"
 #include "service/ingest.hpp"
@@ -144,8 +156,15 @@ struct ServiceOptions {
 
 struct ServiceReport {
   engine::ServiceStats stats;
-  std::uint64_t positive = 0;
-  std::uint64_t negative = 0;
+  std::uint64_t positive = 0;  ///< ΔM+ summed over every handle
+  std::uint64_t negative = 0;  ///< ΔM- summed over every handle
+  /// Per query handle over the service's lifetime, with MultiStreamResult's
+  /// indexing: a removed handle keeps its totals, and a handle that a later
+  /// add_query reuses adds to them.
+  std::vector<std::uint64_t> handle_positive;
+  std::vector<std::uint64_t> handle_negative;
+  std::vector<std::uint64_t> handle_degraded;  ///< searches cut by the query's budget
+  engine::MultiQueryStats mq;                  ///< sharing-tier counters
   std::int64_t wall_ns = 0;
   /// Per-update end-to-end latency distribution (WAL flush + search). The
   /// log-bucketed histogram replaces the old raw sample vector: constant
@@ -169,10 +188,16 @@ struct UpdateDone {
 
 class StreamService {
  public:
-  /// The engine must already be attached (offline stage done). The consumer
-  /// thread starts immediately.
-  StreamService(engine::ParaCosm& engine, ServiceOptions opts,
+  using MatchCallback =
+      std::function<void(std::size_t handle, std::span<const csm::Assignment>)>;
+
+  /// Serve every registration of `engine`; the offline stage of each must be
+  /// done (add_query does it). The consumer thread starts immediately.
+  StreamService(engine::MultiQueryEngine& engine, ServiceOptions opts,
                 FaultHooks hooks = {});
+  /// Serve `pc` as the catalogue of one it is; its accumulated_stats() keep
+  /// accumulating the served updates.
+  StreamService(engine::ParaCosm& pc, ServiceOptions opts, FaultHooks hooks = {});
   ~StreamService();
 
   StreamService(const StreamService&) = delete;
@@ -186,12 +211,24 @@ class StreamService {
   /// consumer, and return the final report. One-shot.
   [[nodiscard]] ServiceReport finish();
 
-  /// Install the per-mapping observer (forwarded to ParaCosm, minus the
-  /// updates degraded to count-only). Call before the first submit().
-  void set_match_callback(
-      std::function<void(std::span<const csm::Assignment>)> cb) {
-    on_match_ = std::move(cb);
-  }
+  /// Admin plane. Each op blocks until the consumer has applied it, after
+  /// every update submitted before the call; a query added here sees exactly
+  /// the updates submitted after add_query returns. The engine's exceptions
+  /// (an unknown algorithm, a query outside the algorithm's domain) reach the
+  /// caller and leave the service running. After finish() every op throws
+  /// std::logic_error; once the consumer has failed, std::runtime_error
+  /// carrying the consumer's error (ServiceReport::error).
+  std::size_t add_query(std::string_view algorithm, graph::QueryGraph query,
+                        engine::QueryOptions qopts = {});
+  bool remove_query(std::size_t handle);
+  /// Barrier: returns once every update submitted before the call, deferred
+  /// ones included, has been processed (an exact boundary under kShed too).
+  void drain();
+
+  /// Install the per-mapping observer: every handle's matches, minus the
+  /// updates degraded to count-only. Without one the engine delivers no
+  /// mappings at all. Call before the first submit() or admin op.
+  void set_match_callback(MatchCallback cb);
 
   /// Install the per-update completion observer (consumer thread). Fired
   /// after every processed update — submitted, deferred-replayed, or drained
@@ -205,15 +242,27 @@ class StreamService {
   [[nodiscard]] const IngestQueue& queue() const noexcept { return queue_; }
 
  private:
+  /// `into` null means own_.
+  StreamService(engine::MultiQueryEngine& engine, engine::MultiStreamResult* into,
+                ServiceOptions opts, FaultHooks hooks);
+
   void consumer_loop();
   void process_one(const graph::GraphUpdate& upd, bool degraded, bool deferred);
   void retry_deferred();
+  void drain_deferred();
   [[nodiscard]] bool pop_deferred(graph::GraphUpdate& out);
+  void run_admin(AdminOp& op);
+  void run_on_consumer(std::function<void()> fn);
+  void observe(std::size_t handle);
+  [[nodiscard]] SnapshotMeta snapshot_meta() const;
   void maybe_snapshot();
   void maybe_flush_metrics();
   void flush_metrics();
 
-  engine::ParaCosm& engine_;
+  engine::MultiQueryEngine& engine_;
+  /// Where engine_.process() accumulates: a ParaCosm's accumulator, or own_.
+  engine::MultiStreamResult& into_;
+  engine::MultiStreamResult own_;
   ServiceOptions opts_;
   FaultHooks hooks_;
   IngestQueue queue_;
@@ -228,19 +277,23 @@ class StreamService {
   std::uint64_t defer_backoff_ = 1;   ///< consumer iterations between probes
   std::uint64_t defer_countdown_ = 0;
 
+  // Admin completions: the consumer marks an op done (or exits) under the
+  // mutex and notifies; only admin callers wait.
+  std::mutex admin_m_;
+  std::condition_variable admin_cv_;
+  bool consumer_exited_ = false;
+
   // Consumer-thread state.
   std::uint64_t seq_ = 0;  ///< stands in for WAL seq when durability is off
   std::uint64_t since_snapshot_ = 0;
   std::uint64_t since_metrics_ = 0;
   bool deliver_ = true;    ///< false while processing a degraded update
   engine::ServiceStats stats_;
-  std::uint64_t positive_ = 0;
-  std::uint64_t negative_ = 0;
   obs::Histogram latency_hist_;
   std::vector<graph::GraphUpdate> applied_order_;
   std::string error_;
 
-  std::function<void(std::span<const csm::Assignment>)> on_match_;
+  MatchCallback on_match_;
   std::function<void(const UpdateDone&)> on_done_;
   util::WallTimer wall_;
   std::thread consumer_;

@@ -34,9 +34,13 @@
 //
 // `seq` is the WAL sequence the snapshot is current through (the first record
 // that still needs replay); `ads` is the algorithm's ADS checksum at that
-// point, cross-checked after recovery by a fresh attach. Snapshots are
-// written to a temp file and renamed into place, so a crash mid-snapshot
-// never destroys the previous one.
+// point, cross-checked after recovery by a fresh attach. A service serving
+// several registrations writes them in handle order: `alg` lists every
+// algorithm name, comma-separated, and `ads` is the first checksum with each
+// later one folded in by FNV-1a (low 32 bits, then high); one registration
+// writes exactly its own name and checksum. The catalogue itself is not
+// recorded. Snapshots are written to a temp file and renamed into place, so
+// a crash mid-snapshot never destroys the previous one.
 #pragma once
 
 #include <cstdint>
@@ -137,8 +141,8 @@ void truncate_wal(const std::string& path, std::uint64_t valid_bytes);
 
 struct SnapshotMeta {
   std::uint64_t seq = 0;           ///< WAL seq the snapshot is current through
-  std::uint64_t ads_checksum = 0;  ///< algorithm ADS checksum at that point
-  std::string algorithm;           ///< algorithm the checksum belongs to
+  std::uint64_t ads_checksum = 0;  ///< ADS checksum at that point (see above)
+  std::string algorithm;           ///< algorithm(s) the checksum belongs to
 };
 
 struct Snapshot {

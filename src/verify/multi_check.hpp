@@ -17,6 +17,15 @@
 //                 that warms through the first half without counting (exactly
 //                 "registered at the midpoint"); the removed query must keep
 //                 its first-half totals and gain nothing after removal.
+//   served      — the churn schedule through StreamService's admin plane, a
+//                 drain() before each admin op: under kBlock, kDegrade and
+//                 kShed at every thread count each handle's ΔM equals the
+//                 sequential oracle over the order the service applied; under
+//                 forced timeouts it is at most the oracle's.
+//   kill points — a crash image after WAL record k of the served churn run:
+//                 recover_state, the catalogue rebuilt from the schedule, and
+//                 the rest of the stream served from the resumed WAL,
+//                 matching the oracle.
 //
 // Divergences reuse the fuzzer vocabulary (lane kBatch — the multi engine IS
 // the batch executor) with a "multi[...]" message prefix, so paracosm_fuzz
@@ -24,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "verify/fuzzer.hpp"
@@ -35,7 +45,10 @@ struct MultiCheckOptions {
   /// Register query 0 a second time under the same algorithm: the duplicate
   /// must land in the same evaluation class and report identical totals.
   bool duplicate_registration = true;
-  bool runtime_churn = true;  ///< run the mid-stream add/remove lane
+  /// Run the mid-stream add/remove lane, also served with its kill points.
+  bool runtime_churn = true;
+  /// Scratch directory for the kill-point cells' WAL files; empty skips them.
+  std::string dir;
   bool stop_at_first = true;
 };
 

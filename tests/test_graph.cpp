@@ -25,6 +25,27 @@ TEST(DataGraph, AddVertexWithIdFillsGaps) {
   EXPECT_EQ(g.num_vertices(), 1u);
 }
 
+// A snapshot lists alive vertices only, so a graph whose highest ids died
+// reloads with fewer slots; structural equality must not see the difference
+// (the service crash-recovery lane compares exactly such graphs).
+TEST(DataGraph, SameStructureIgnoresDeadTrailingSlots) {
+  DataGraph g;
+  for (Label l = 0; l < 4; ++l) g.add_vertex(l);
+  g.add_edge(0, 1, 2);
+  g.add_edge(1, 2, 0);
+  g.remove_vertex(3);
+  DataGraph compact;
+  for (VertexId u = 0; u < 3; ++u) compact.add_vertex_with_id(u, g.label(u));
+  compact.add_edge(0, 1, 2);
+  compact.add_edge(1, 2, 0);
+  ASSERT_NE(g.vertex_capacity(), compact.vertex_capacity());
+  EXPECT_TRUE(g.same_structure(compact));
+  EXPECT_TRUE(compact.same_structure(g));
+  compact.add_vertex_with_id(3, 3);  // a live vertex where g has a dead one
+  EXPECT_FALSE(g.same_structure(compact));
+  EXPECT_FALSE(compact.same_structure(g));
+}
+
 TEST(DataGraph, AddEdgeIsUndirectedAndLabeled) {
   DataGraph g;
   g.add_vertex(0);

@@ -4,6 +4,8 @@
 
 #include "paracosm/multi_query.hpp"
 #include "tests/test_support.hpp"
+#include "verify/fuzzer.hpp"
+#include "verify/multi_check.hpp"
 
 namespace paracosm::testing {
 namespace {
@@ -411,6 +413,23 @@ TEST(MultiQueryEngine, SharedTierCountersAccount) {
   EXPECT_EQ((r.mq.verdicts_by_index + r.mq.verdicts_grouped) %
                 engine.num_queries(),
             0u);
+}
+
+// The multi-query differential lanes on fixed seeds, including the churn
+// schedule served through StreamService's admin plane (every overload
+// policy, forced timeouts) and its kill-point cells.
+TEST(MultiCheck, ServedChurnAndKillPointsMatchTheOracle) {
+  verify::FuzzKnobs knobs;
+  knobs.num_queries = 4;
+  verify::MultiCheckOptions opts;
+  opts.thread_counts = {1, 2};
+  opts.dir = ::testing::TempDir();
+  opts.stop_at_first = false;
+  for (const std::uint64_t seed : {3u, 17u, 29u}) {
+    const verify::FuzzCase c = verify::generate_case(seed, knobs);
+    for (const verify::Divergence& d : verify::check_multi_case(c, opts))
+      ADD_FAILURE() << d.to_string();
+  }
 }
 
 }  // namespace

@@ -6,10 +6,13 @@
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "paracosm/multi_query.hpp"
 #include "paracosm/paracosm.hpp"
 #include "service/ingest.hpp"
 #include "service/service.hpp"
@@ -458,6 +461,139 @@ TEST(StreamService, WatchdogBudgetRunSurvives) {
   const auto fresh = csm::make_algorithm("graphflow");
   fresh->attach(wl.query, wl.graph);
   EXPECT_EQ(alg->ads_checksum(), fresh->ads_checksum());
+}
+
+// ----------------------------------------------------- catalogue serving
+
+engine::Config catalogue_config() {
+  engine::Config cfg;
+  cfg.threads = 2;
+  cfg.inter_parallelism = false;
+  cfg.queue_spin_iters = 1;
+  cfg.pool_spin_iters = 1;
+  return cfg;
+}
+
+// A duplicate insert and a phantom delete leave the graph unchanged: the
+// service counts each as a no-op, whatever the number of registrations.
+TEST(StreamService, CatalogueCountsNoopSkips) {
+  testing::SmallWorkload wl = testing::make_workload(/*seed=*/410);
+  engine::MultiQueryEngine engine(wl.graph, catalogue_config());
+  engine.add_query("graphflow", wl.query);
+  engine.add_query("symbi", wl.query);
+
+  graph::VertexId a = 0;
+  while (a < wl.graph.vertex_capacity() && wl.graph.neighbors(a).empty()) ++a;
+  const auto nbrs = wl.graph.neighbors(a);
+  ASSERT_FALSE(nbrs.empty());
+  graph::VertexId ghost = 0;
+  while (ghost == a || wl.graph.has_edge(a, ghost)) ++ghost;
+  const std::vector<GraphUpdate> stream = {
+      GraphUpdate::insert_edge(a, nbrs.begin()->v, nbrs.begin()->elabel),
+      GraphUpdate::remove_edge(a, ghost, 0)};
+
+  service::ServiceReport report;
+  {
+    service::StreamService svc(engine, {});
+    for (const GraphUpdate& u : stream) (void)svc.submit(u);
+    report = svc.finish();
+  }
+  EXPECT_TRUE(report.error.empty()) << report.error;
+  EXPECT_EQ(report.stats.processed, 2u);
+  EXPECT_EQ(report.stats.noop_skipped, 2u);
+  EXPECT_EQ(report.positive + report.negative, 0u);
+}
+
+// The admin plane: ops apply between updates, a query added mid-stream sees
+// exactly the later updates, engine exceptions reach the caller without
+// stopping the service, delivery is per handle, and ops fail after finish().
+TEST(StreamService, AdminPlaneChangesTheCatalogueBetweenUpdates) {
+  testing::SmallWorkload wl = testing::make_workload(/*seed=*/420);
+  const graph::DataGraph base = wl.graph;
+  const std::size_t mid = wl.stream.size() / 2;
+  const auto oracle = [&](std::size_t skip) {
+    auto alg = csm::make_algorithm("graphflow");
+    graph::DataGraph g = base;
+    csm::SequentialEngine eng(*alg, wl.query, g);
+    std::pair<std::uint64_t, std::uint64_t> t{0, 0};
+    for (std::size_t i = 0; i < wl.stream.size(); ++i) {
+      const csm::UpdateOutcome out = eng.process(wl.stream[i]);
+      if (i < skip) continue;
+      t.first += out.positive;
+      t.second += out.negative;
+    }
+    return t;
+  };
+
+  engine::MultiQueryEngine engine(wl.graph, catalogue_config());
+  const std::size_t h0 = engine.add_query("graphflow", wl.query);
+  std::map<std::size_t, std::uint64_t> delivered;
+  service::ServiceReport report;
+  std::size_t h1 = 0;
+  {
+    service::StreamService svc(engine, {});
+    svc.set_match_callback(
+        [&delivered](std::size_t h, std::span<const csm::Assignment>) {
+          ++delivered[h];
+        });
+    for (std::size_t i = 0; i < mid; ++i) (void)svc.submit(wl.stream[i]);
+    EXPECT_THROW(svc.add_query("no-such-algorithm", wl.query),
+                 std::invalid_argument);
+    h1 = svc.add_query("symbi", wl.query);
+    EXPECT_NE(h1, h0);
+    for (std::size_t i = mid; i < wl.stream.size(); ++i)
+      (void)svc.submit(wl.stream[i]);
+    svc.drain();
+    EXPECT_TRUE(svc.remove_query(h1));
+    EXPECT_FALSE(svc.remove_query(h1));
+    report = svc.finish();
+    EXPECT_THROW(svc.add_query("graphflow", wl.query), std::logic_error);
+    EXPECT_THROW(svc.drain(), std::logic_error);
+  }
+  ASSERT_TRUE(report.error.empty()) << report.error;
+  EXPECT_EQ(report.stats.processed, wl.stream.size());
+  const auto want0 = oracle(0);
+  const auto want1 = oracle(mid);
+  ASSERT_GT(want1.first + want1.second, 0u);  // the late query sees matches
+  EXPECT_EQ(report.handle_positive[h0], want0.first);
+  EXPECT_EQ(report.handle_negative[h0], want0.second);
+  EXPECT_EQ(report.handle_positive[h1], want1.first);
+  EXPECT_EQ(report.handle_negative[h1], want1.second);
+  EXPECT_EQ(report.positive, want0.first + want1.first);
+  EXPECT_EQ(report.negative, want0.second + want1.second);
+  EXPECT_EQ(delivered[h0], want0.first + want0.second);
+  EXPECT_EQ(delivered[h1], want1.first + want1.second);
+}
+
+// A consumer that dies on a WAL failure fails the admin ops that come after,
+// with its own error, and finish() reports the same error.
+TEST(StreamService, AdminOpAfterConsumerFailureCarriesTheError) {
+  testing::SmallWorkload wl = testing::make_workload(/*seed=*/430);
+  ASSERT_GE(wl.stream.size(), 3u);
+  engine::MultiQueryEngine engine(wl.graph, catalogue_config());
+  engine.add_query("graphflow", wl.query);
+  service::ServiceOptions opts;
+  opts.wal_path = tmp_path("admin_failure.wal");
+  service::FaultHooks hooks;
+  hooks.after_wal_append = [](std::uint64_t seq) {
+    if (seq == 1) throw std::runtime_error("disk gone");
+  };
+  service::ServiceReport report;
+  {
+    service::StreamService svc(engine, opts, hooks);
+    for (const GraphUpdate& u : wl.stream) (void)svc.submit(u);
+    try {
+      (void)svc.add_query("symbi", wl.query);
+      ADD_FAILURE() << "add_query after a consumer failure did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("disk gone"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(svc.drain(), std::runtime_error);
+    report = svc.finish();
+  }
+  EXPECT_EQ(report.error, "disk gone");
+  EXPECT_EQ(report.stats.processed, 1u);
 }
 
 }  // namespace

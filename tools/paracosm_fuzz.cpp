@@ -81,7 +81,9 @@ int main(int argc, char** argv) {
             "shed/degrade overload) instead of the engine lane matrix")
       .flag("multi",
             "Diff the shared multi-query engine against independent "
-            "single-query runs (static + runtime add/remove lanes)")
+            "single-query runs (static and runtime add/remove lanes, the "
+            "add/remove schedule served through StreamService, and its kill "
+            "points)")
       .flag("shard",
             "Run the sharded fault matrix: the multi-process coordinator "
             "(clean / seeded kills / transport faults) diffed byte-for-byte "
@@ -150,6 +152,7 @@ int main(int argc, char** argv) {
       // the whole query catalogue, so failures carry the seed for replay.
       verify::MultiCheckOptions mopts;
       if (!thread_list.empty()) mopts.thread_counts = thread_list;
+      mopts.dir = cli.get("out");
       divs = verify::check_multi_case(c, mopts);
     } else if (shard_mode) {
       // Sharded differential gate: multi-process coordinator vs one

@@ -8,12 +8,19 @@
 //     --budget-us 500 --wal service.wal --snapshot service.snap
 //     --snapshot-every 64
 //
+// One service serves a query catalogue: --query takes a comma-separated list
+// (one entry is a catalogue of one), --algorithm cycles over it, and
+// --add-at / --remove-at change the catalogue at stream positions.
+//
 // Crash drill (the CI smoke job): run once with --kill-at N — the process
 // _exits(137) the instant record N is durable but not yet applied — then run
-// again with --recover; the service replays the WAL suffix and finishes the
-// stream. --verify-final cross-checks the end state against the recompute
-// oracle. Fault injection (--kill-at, --timeout-rate, --slow-consumer-us)
-// exists so resilience is testable, not just claimed.
+// again with --recover; the service replays the WAL suffix, rebuilds the
+// catalogue from the command line (the initial queries, then every --add-at /
+// --remove-at at or before the resume point, in order) and finishes the
+// stream. --verify-final cross-checks the end state, and every handle's ΔM
+// over the window it was registered for, against the recompute oracle. Fault
+// injection (--kill-at, --timeout-rate, --slow-consumer-us) exists so
+// resilience is testable, not just claimed.
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -21,6 +28,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +40,6 @@
 #include "obs/trace_ring.hpp"
 #include "paracosm/multi_query.hpp"
 #include "paracosm/paracosm.hpp"
-#include "service/multi_service.hpp"
 #include "service/service.hpp"
 #include "service/wal.hpp"
 #include "shard/coordinator.hpp"
@@ -76,7 +83,7 @@ std::vector<std::string> split_csv(const std::string& s) {
 }
 
 /// One runtime admin event for --add-at / --remove-at, applied at a stream
-/// position with a drain barrier (so the boundary is exact).
+/// position (every admin op is a barrier, so the boundary is exact).
 struct AdminEvent {
   std::size_t at = 0;
   bool add = false;
@@ -112,223 +119,17 @@ bool parse_admin_events(const std::string& add_spec, const std::string& rm_spec,
   return true;
 }
 
-struct MultiQueryInfo {
+/// One registration of the served catalogue and the window of the applied
+/// order it was registered for: [from, to), as indices into
+/// ServiceReport::applied_order.
+struct Registration {
   std::size_t handle = 0;
   std::string file;
   std::string algorithm;
+  graph::QueryGraph query;
+  std::size_t from = 0;
+  std::size_t to = std::numeric_limits<std::size_t>::max();
 };
-
-void write_multi_json_report(const std::string& path,
-                             const service::MultiServiceReport& r,
-                             const std::vector<MultiQueryInfo>& queries,
-                             const bench::LatencySummary& lat, unsigned threads,
-                             const char* policy) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write --report-json '%s'\n",
-                 path.c_str());
-    return;
-  }
-  const auto& s = r.stats;
-  const auto& mq = r.mq;
-  out << "{\n"
-      << "  \"mode\": \"multi\",\n"
-      << "  \"threads\": " << threads << ",\n";
-  out << "  \"policy\": \"" << policy << "\",\n"
-      << "  \"wall_ns\": " << r.wall_ns << ",\n"
-      << "  \"processed\": " << s.processed << ",\n"
-      << "  \"deadline_hits\": " << r.deadline_hits << ",\n"
-      << "  \"wal_records\": " << s.wal_records << ",\n"
-      << "  \"queries\": [\n";
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const MultiQueryInfo& info = queries[i];
-    const std::size_t h = info.handle;
-    out << "    {\"handle\": " << h << ", \"file\": \"" << info.file
-        << "\", \"algorithm\": \"" << info.algorithm
-        << "\", \"positive\": " << (h < r.positive.size() ? r.positive[h] : 0)
-        << ", \"negative\": " << (h < r.negative.size() ? r.negative[h] : 0)
-        << ", \"degraded\": " << (h < r.degraded.size() ? r.degraded[h] : 0)
-        << "}" << (i + 1 < queries.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n"
-      << "  \"multi_query\": {\n"
-      << "    \"updates_classified\": " << mq.updates_classified << ",\n"
-      << "    \"index_probes\": " << mq.index_probes << ",\n"
-      << "    \"index_empty\": " << mq.index_empty << ",\n"
-      << "    \"verdicts_by_index\": " << mq.verdicts_by_index << ",\n"
-      << "    \"verdicts_grouped\": " << mq.verdicts_grouped << ",\n"
-      << "    \"group_checks\": " << mq.group_checks << ",\n"
-      << "    \"group_hits\": " << mq.group_hits << ",\n"
-      << "    \"ads_checks\": " << mq.ads_checks << ",\n"
-      << "    \"searches_run\": " << mq.searches_run << ",\n"
-      << "    \"searches_shared\": " << mq.searches_shared << ",\n"
-      << "    \"searches_skipped\": " << mq.searches_skipped << ",\n"
-      << "    \"anchors_checked\": " << mq.anchors_checked << "\n"
-      << "  },\n"
-      << "  \"ingest\": {\n"
-      << "    \"enqueued\": " << s.ingest.enqueued << ",\n"
-      << "    \"shed\": " << s.ingest.shed << ",\n"
-      << "    \"high_water\": " << s.ingest.high_water << "\n"
-      << "  },\n"
-      << "  \"latency_ns\": {\n"
-      << "    \"count\": " << lat.count << ",\n"
-      << "    \"mean\": " << static_cast<std::int64_t>(lat.mean_ns) << ",\n"
-      << "    \"p50\": " << lat.p50_ns << ",\n"
-      << "    \"p95\": " << lat.p95_ns << ",\n"
-      << "    \"p99\": " << lat.p99_ns << ",\n"
-      << "    \"max\": " << lat.max_ns << "\n"
-      << "  }\n"
-      << "}\n";
-}
-
-/// --multi: serve a *catalogue* of standing queries through the shared
-/// multi-query engine (ISSUE 6), with runtime registration via --add-at /
-/// --remove-at. Returns the process exit code.
-int run_multi(const util::Cli& cli, graph::DataGraph& g,
-              const std::vector<graph::GraphUpdate>& stream,
-              std::vector<graph::ParseError>* collector) {
-  std::vector<std::string> query_files = split_csv(cli.get("queries"));
-  if (query_files.empty() && !cli.get("query").empty())
-    query_files.push_back(cli.get("query"));
-  if (query_files.empty()) {
-    std::fprintf(stderr, "error: --multi requires --queries (or --query)\n");
-    return 2;
-  }
-  std::vector<std::string> algorithms = split_csv(cli.get("algorithms"));
-  if (algorithms.empty()) algorithms.push_back(cli.get("algorithm"));
-
-  service::MultiServiceOptions mopts;
-  if (!parse_policy(cli.get("policy"), mopts.policy)) {
-    std::fprintf(stderr, "error: unknown policy '%s'\n", cli.get("policy").c_str());
-    return 2;
-  }
-  mopts.queue_capacity = static_cast<std::size_t>(cli.get_int("queue"));
-  mopts.budget_us = cli.get_int("budget-us");
-  mopts.wal_path = cli.get("wal");
-
-  std::vector<AdminEvent> admin;
-  if (!parse_admin_events(cli.get("add-at"), cli.get("remove-at"), admin)) {
-    std::fprintf(stderr,
-                 "error: bad --add-at/--remove-at clause (want N:file:alg / "
-                 "N:handle)\n");
-    return 2;
-  }
-
-  engine::Config config;
-  config.threads = static_cast<unsigned>(cli.get_int("threads"));
-  config.pin_threads = cli.get_bool("pin");
-  config.inter_parallelism = false;  // the service processes one update at a time
-  engine::MultiQueryEngine engine(g, config);
-  engine.set_shared_evaluation(!cli.get_bool("no-sharing"));
-
-  engine::QueryOptions qopts;
-  qopts.budget_us = cli.get_int("query-budget-us");
-
-  std::vector<MultiQueryInfo> registered;
-  try {
-    for (std::size_t i = 0; i < query_files.size(); ++i) {
-      graph::QueryGraph q = graph::load_query_graph_file(query_files[i], collector);
-      const std::string& alg = algorithms[i % algorithms.size()];
-      const std::size_t handle = engine.add_query(alg, std::move(q), qopts);
-      registered.push_back({handle, query_files[i], alg});
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-
-  std::printf(
-      "serving %zu update(s) to %zu quer(ies) in %zu class(es) [x%u, policy "
-      "%s, queue %zu%s%s%s]\n",
-      stream.size(), engine.num_queries(), engine.num_classes(),
-      config.effective_threads(), cli.get("policy").c_str(), mopts.queue_capacity,
-      mopts.budget_us > 0 ? ", deadline on" : "",
-      mopts.wal_path.empty() ? "" : ", WAL on",
-      engine.shared_evaluation() ? "" : ", sharing off");
-
-  service::MultiServiceReport report;
-  {
-    service::MultiStreamService svc(engine, mopts);
-    std::size_t next_admin = 0;
-    for (std::size_t i = 0; i <= stream.size(); ++i) {
-      while (next_admin < admin.size() && admin[next_admin].at <= i) {
-        const AdminEvent& ev = admin[next_admin++];
-        svc.drain();  // exact boundary: the change sees no in-flight updates
-        try {
-          if (ev.add) {
-            graph::QueryGraph q =
-                graph::load_query_graph_file(ev.query_file, collector);
-            const std::size_t handle =
-                svc.add_query(ev.algorithm, std::move(q), qopts);
-            registered.push_back({handle, ev.query_file, ev.algorithm});
-            std::printf("[admin @%zu] added %s (%s) -> handle %zu\n", ev.at,
-                        ev.query_file.c_str(), ev.algorithm.c_str(), handle);
-          } else {
-            const bool ok = svc.remove_query(ev.handle);
-            std::printf("[admin @%zu] removed handle %zu%s\n", ev.at, ev.handle,
-                        ok ? "" : " (stale)");
-          }
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "error: admin event failed: %s\n", e.what());
-          return 2;
-        }
-      }
-      if (i < stream.size()) (void)svc.submit(stream[i]);
-    }
-    report = svc.finish();
-  }
-
-  if (!report.error.empty()) {
-    std::fprintf(stderr, "error: service consumer failed: %s\n",
-                 report.error.c_str());
-    return 1;
-  }
-
-  const bench::LatencySummary lat = bench::summarize_histogram(report.latency);
-  std::uint64_t tot_pos = 0, tot_neg = 0;
-  for (const MultiQueryInfo& info : registered) {
-    const std::size_t h = info.handle;
-    const std::uint64_t pos = h < report.positive.size() ? report.positive[h] : 0;
-    const std::uint64_t neg = h < report.negative.size() ? report.negative[h] : 0;
-    const std::uint64_t deg = h < report.degraded.size() ? report.degraded[h] : 0;
-    tot_pos += pos;
-    tot_neg += neg;
-    std::printf("[query %zu] %s (%s): +%llu / -%llu%s\n", h, info.file.c_str(),
-                info.algorithm.c_str(), static_cast<unsigned long long>(pos),
-                static_cast<unsigned long long>(neg),
-                deg > 0 ? " (degraded)" : "");
-  }
-  const auto& mq = report.mq;
-  std::printf("[multi] +%llu / -%llu total in %.3f ms wall; %llu processed, "
-              "%llu deadline hit(s)\n",
-              static_cast<unsigned long long>(tot_pos),
-              static_cast<unsigned long long>(tot_neg),
-              static_cast<double>(report.wall_ns) / 1e6,
-              static_cast<unsigned long long>(report.stats.processed),
-              static_cast<unsigned long long>(report.deadline_hits));
-  std::printf("sharing: %llu/%llu verdicts by index, %llu grouped "
-              "(%llu degree memo hits), %llu searches (+%llu fan-out, "
-              "%llu anchor-skipped)\n",
-              static_cast<unsigned long long>(mq.verdicts_by_index),
-              static_cast<unsigned long long>(mq.verdicts_by_index +
-                                              mq.verdicts_grouped),
-              static_cast<unsigned long long>(mq.verdicts_grouped),
-              static_cast<unsigned long long>(mq.group_hits),
-              static_cast<unsigned long long>(mq.searches_run),
-              static_cast<unsigned long long>(mq.searches_shared),
-              static_cast<unsigned long long>(mq.searches_skipped));
-  std::printf("latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, max %.3f ms\n",
-              static_cast<double>(lat.p50_ns) / 1e6,
-              static_cast<double>(lat.p95_ns) / 1e6,
-              static_cast<double>(lat.p99_ns) / 1e6,
-              static_cast<double>(lat.max_ns) / 1e6);
-
-  if (const std::string jpath = cli.get("report-json"); !jpath.empty())
-    write_multi_json_report(jpath, report, registered, lat,
-                            config.effective_threads(),
-                            cli.get("policy").c_str());
-  return 0;
-}
 
 void write_shard_json_report(const std::string& path,
                              const shard::CoordinatorReport& r,
@@ -531,8 +332,9 @@ int run_sharded(const util::Cli& cli, const std::string& graph_path,
 }
 
 void write_json_report(const std::string& path, const service::ServiceReport& r,
-                       const bench::LatencySummary& lat, const char* algorithm,
-                       unsigned threads, const char* policy) {
+                       const bench::LatencySummary& lat,
+                       const std::vector<Registration>& regs,
+                       const char* algorithm, unsigned threads, const char* policy) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "warning: cannot write --report-json '%s'\n",
@@ -540,6 +342,7 @@ void write_json_report(const std::string& path, const service::ServiceReport& r,
     return;
   }
   const auto& s = r.stats;
+  const auto& mq = r.mq;
   out << "{\n"
       << "  \"algorithm\": \"" << algorithm << "\",\n"
       << "  \"threads\": " << threads << ",\n";
@@ -555,6 +358,32 @@ void write_json_report(const std::string& path, const service::ServiceReport& r,
       << "  \"noop_skipped\": " << s.noop_skipped << ",\n"
       << "  \"snapshots\": " << s.snapshots << ",\n"
       << "  \"wal_records\": " << s.wal_records << ",\n"
+      << "  \"queries\": [\n";
+  // Counts are per handle: a reused handle sums its registrations.
+  for (std::size_t i = 0; i < regs.size(); ++i) {
+    const std::size_t h = regs[i].handle;
+    out << "    {\"handle\": " << h << ", \"file\": \"" << regs[i].file
+        << "\", \"algorithm\": \"" << regs[i].algorithm
+        << "\", \"positive\": " << r.handle_positive[h]
+        << ", \"negative\": " << r.handle_negative[h]
+        << ", \"degraded\": " << r.handle_degraded[h] << "}"
+        << (i + 1 < regs.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n"
+      << "  \"multi_query\": {\n"
+      << "    \"updates_classified\": " << mq.updates_classified << ",\n"
+      << "    \"index_probes\": " << mq.index_probes << ",\n"
+      << "    \"index_empty\": " << mq.index_empty << ",\n"
+      << "    \"verdicts_by_index\": " << mq.verdicts_by_index << ",\n"
+      << "    \"verdicts_grouped\": " << mq.verdicts_grouped << ",\n"
+      << "    \"group_checks\": " << mq.group_checks << ",\n"
+      << "    \"group_hits\": " << mq.group_hits << ",\n"
+      << "    \"ads_checks\": " << mq.ads_checks << ",\n"
+      << "    \"searches_run\": " << mq.searches_run << ",\n"
+      << "    \"searches_shared\": " << mq.searches_shared << ",\n"
+      << "    \"searches_skipped\": " << mq.searches_skipped << ",\n"
+      << "    \"anchors_checked\": " << mq.anchors_checked << "\n"
+      << "  },\n"
       << "  \"ingest\": {\n"
       << "    \"enqueued\": " << s.ingest.enqueued << ",\n"
       << "    \"shed\": " << s.ingest.shed << ",\n"
@@ -575,6 +404,57 @@ void write_json_report(const std::string& path, const service::ServiceReport& r,
       << "}\n";
 }
 
+/// --verify-final: the end graph must equal the base with the applied order
+/// replayed, and each handle's ΔM the oracle's over the windows it was
+/// registered for (a reused handle sums its registrations). A run with
+/// degraded searches may only lose matches, never invent them.
+bool verify_final_state(const service::ServiceReport& report,
+                        const graph::DataGraph& base, const graph::DataGraph& end,
+                        const std::vector<Registration>& regs) {
+  const std::vector<graph::GraphUpdate>& applied = report.applied_order;
+  graph::DataGraph expect = base;
+  for (const graph::GraphUpdate& upd : applied) expect.apply(upd);
+  if (!end.same_structure(expect)) {
+    std::fprintf(stderr, "VERIFY FAIL: end graph diverges from the oracle\n");
+    return false;
+  }
+  std::vector<std::uint64_t> want_pos(report.handle_positive.size(), 0);
+  std::vector<std::uint64_t> want_neg(want_pos.size(), 0);
+  for (const Registration& reg : regs) {
+    const std::size_t to = std::min(reg.to, applied.size());
+    const std::size_t from = std::min(reg.from, to);
+    graph::DataGraph start = base;
+    for (std::size_t i = 0; i < from; ++i) start.apply(applied[i]);
+    const verify::OracleTrace trace = verify::build_trace(
+        reg.query, start, std::span(applied).subspan(from, to - from),
+        csm::make_algorithm(reg.algorithm)->uses_edge_labels(), /*strict=*/false);
+    want_pos[reg.handle] += trace.total_positive;
+    want_neg[reg.handle] += trace.total_negative;
+  }
+  bool degraded_run = report.stats.degraded_searches > 0;
+  for (const std::uint64_t d : report.handle_degraded) degraded_run |= d > 0;
+  bool ok = true;
+  for (std::size_t h = 0; h < want_pos.size(); ++h) {
+    const std::uint64_t pos = report.handle_positive[h];
+    const std::uint64_t neg = report.handle_negative[h];
+    const bool good = degraded_run ? pos <= want_pos[h] && neg <= want_neg[h]
+                                   : pos == want_pos[h] && neg == want_neg[h];
+    if (good) continue;
+    ok = false;
+    std::fprintf(stderr,
+                 "VERIFY FAIL: handle %zu diverges from the oracle (got "
+                 "+%llu/-%llu, oracle +%llu/-%llu)\n",
+                 h, static_cast<unsigned long long>(pos),
+                 static_cast<unsigned long long>(neg),
+                 static_cast<unsigned long long>(want_pos[h]),
+                 static_cast<unsigned long long>(want_neg[h]));
+  }
+  if (ok)
+    std::printf("verify-final: OK (oracle-exact%s)\n",
+                degraded_run ? " modulo degraded searches" : "");
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -582,21 +462,33 @@ int main(int argc, char** argv) {
                 "run the CSM service layer: bounded ingest, deadlines, "
                 "WAL + snapshot durability, crash recovery");
   cli.option("graph", "", "data graph file (required)")
-      .option("query", "", "query graph file (required)")
+      .option("query", "",
+              "query graph file, or a comma-separated catalogue of them "
+              "(required)")
       .option("stream", "", "update stream file (required)")
-      .option("algorithm", "graphflow", "graphflow|turboflux|symbi|calig|newsp")
+      .option("algorithm", "graphflow",
+              "graphflow|turboflux|symbi|calig|newsp; a comma-separated list "
+              "cycles over --query")
       .option("threads", "8", "worker threads for the search phase (0 = one per "
               "CPU in the process affinity mask)")
       .flag("pin", "pin workers to CPUs (distinct cores first; no-op without sysfs)")
       .option("policy", "block", "overload policy: block|shed|degrade")
       .option("queue", "1024", "ingest ring capacity")
       .option("budget-us", "0", "per-update search budget (0 = no deadline)")
+      .option("query-budget-us", "0",
+              "per-query per-update search budget (0 = none)")
+      .option("add-at", "",
+              "CSV of N:file:alg clauses — register file with alg after "
+              "stream position N")
+      .option("remove-at", "",
+              "CSV of N:handle clauses — deregister handle after stream "
+              "position N")
       .option("wal", "", "write-ahead log path (empty = durability off)")
       .option("snapshot", "", "snapshot path (empty = snapshots off)")
       .option("snapshot-every", "0", "updates between snapshots (0 = never)")
       .option("shards", "0",
               "run sharded: supervise N paracosm_shard worker processes "
-              "(0 = single-process mode)")
+              "(0 = single-process mode; needs exactly one query)")
       .option("shard-dir", ".",
               "--shards: directory for per-shard WAL/snapshot/metrics files")
       .option("shard-bin", "",
@@ -624,24 +516,6 @@ int main(int argc, char** argv) {
               "write a flat metrics snapshot here (.csv or JSON by extension)")
       .option("metrics-every", "0",
               "flush --metrics-out every N processed updates (0 = final only)")
-      .option("queries", "",
-              "--multi: CSV of query graph files to register as the catalogue")
-      .option("algorithms", "",
-              "--multi: CSV of algorithms, cycled over --queries")
-      .option("query-budget-us", "0",
-              "--multi: per-query per-update search budget (0 = none)")
-      .option("add-at", "",
-              "--multi: CSV of N:file:alg clauses — register file with alg "
-              "after stream position N")
-      .option("remove-at", "",
-              "--multi: CSV of N:handle clauses — deregister handle after "
-              "stream position N")
-      .flag("multi",
-            "serve a catalogue of standing queries through the shared "
-            "multi-query engine (--queries/--algorithms)")
-      .flag("no-sharing",
-            "--multi: give every query a private evaluation class (the "
-            "O(queries) baseline)")
       .flag("trace-verbose",
             "trace at level 2: per-search-node instants (huge traces)")
       .flag("recover", "recover from --wal/--snapshot, then resume the stream")
@@ -649,19 +523,16 @@ int main(int argc, char** argv) {
       .flag("strict", "abort on the first malformed input line");
   if (!cli.parse(argc, argv)) return cli.exit_code();
 
-  const bool multi = cli.get_bool("multi");
   const std::string graph_path = cli.get("graph");
-  const std::string query_path = cli.get("query");
   const std::string stream_path = cli.get("stream");
-  if (graph_path.empty() || stream_path.empty() ||
-      (query_path.empty() && !multi)) {
+  const std::vector<std::string> query_files = split_csv(cli.get("query"));
+  const std::vector<std::string> algorithms = split_csv(cli.get("algorithm"));
+  if (graph_path.empty() || stream_path.empty() || query_files.empty()) {
     std::fprintf(stderr, "error: --graph, --query and --stream are required\n");
     return 2;
   }
-  auto algorithm = csm::make_algorithm(cli.get("algorithm"));
-  if (!algorithm) {
-    std::fprintf(stderr, "error: unknown algorithm '%s'\n",
-                 cli.get("algorithm").c_str());
+  if (algorithms.empty()) {
+    std::fprintf(stderr, "error: --algorithm is empty\n");
     return 2;
   }
   service::ServiceOptions sopts;
@@ -669,16 +540,37 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: unknown policy '%s'\n", cli.get("policy").c_str());
     return 2;
   }
+  std::vector<AdminEvent> admin;
+  if (!parse_admin_events(cli.get("add-at"), cli.get("remove-at"), admin)) {
+    std::fprintf(stderr,
+                 "error: bad --add-at/--remove-at clause (want N:file:alg / "
+                 "N:handle)\n");
+    return 2;
+  }
+  const bool sharded = cli.get_int("shards") > 0;
+  if (sharded && (query_files.size() != 1 || algorithms.size() != 1 ||
+                  !admin.empty())) {
+    std::fprintf(stderr,
+                 "error: --shards serves exactly one query (one --query, one "
+                 "--algorithm, no --add-at/--remove-at)\n");
+    return 2;
+  }
 
   const bool strict = cli.get_bool("strict");
   std::vector<graph::ParseError> errors;
   auto* collector = strict ? nullptr : &errors;
   graph::DataGraph g;
-  graph::QueryGraph q;
+  std::vector<Registration> regs;
   std::vector<graph::GraphUpdate> stream;
   try {
     g = graph::load_data_graph_file(graph_path, collector);
-    if (!query_path.empty()) q = graph::load_query_graph_file(query_path, collector);
+    for (std::size_t i = 0; i < query_files.size(); ++i) {
+      Registration reg;
+      reg.file = query_files[i];
+      reg.algorithm = algorithms[i % algorithms.size()];
+      reg.query = graph::load_query_graph_file(reg.file, collector);
+      regs.push_back(std::move(reg));
+    }
     stream = graph::load_update_stream_file(stream_path, collector);
   } catch (const graph::ParseException& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
@@ -691,16 +583,19 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, on_stop_signal);
   std::signal(SIGINT, on_stop_signal);
 
-  if (cli.get_int("shards") > 0) {
-    if (multi) {
-      std::fprintf(stderr, "error: --shards and --multi are exclusive\n");
+  if (sharded) {
+    auto algorithm = csm::make_algorithm(algorithms.front());
+    if (!algorithm) {
+      std::fprintf(stderr, "error: unknown algorithm '%s'\n",
+                   algorithms.front().c_str());
       return 2;
     }
     if (cli.get_int("shards") == 1)
       std::fprintf(stderr,
                    "warning: --shards 1 supervises a single worker — valid, "
                    "but there is no one to fail over to\n");
-    return run_sharded(cli, graph_path, query_path, g, q, *algorithm, stream);
+    return run_sharded(cli, graph_path, query_files.front(), g,
+                       regs.front().query, *algorithm, stream);
   }
 
   sopts.queue_capacity = static_cast<std::size_t>(cli.get_int("queue"));
@@ -726,22 +621,6 @@ int main(int argc, char** argv) {
                  "warning: built with PARACOSM_TRACE=OFF — the trace will "
                  "contain no engine events\n");
 #endif
-  }
-
-  if (multi) {
-    const int rc = run_multi(cli, g, stream, collector);
-    if (!trace_path.empty()) {
-      obs::set_trace_level(0);
-      try {
-        obs::write_chrome_trace(trace_path,
-                                obs::TraceRegistry::instance().collect());
-        std::printf("trace: wrote %s (load in ui.perfetto.dev)\n",
-                    trace_path.c_str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "warning: %s\n", e.what());
-      }
-    }
-    return rc;
   }
 
   // The initial graph doubles as the recovery base; keep it when verifying.
@@ -804,24 +683,69 @@ int main(int argc, char** argv) {
   config.threads = static_cast<unsigned>(cli.get_int("threads"));
   config.pin_threads = cli.get_bool("pin");
   config.inter_parallelism = false;  // the service processes one update at a time
-  engine::ParaCosm pc(*algorithm, q, g, config);
+  engine::MultiQueryEngine engine(g, config);
+  engine::QueryOptions qopts;
+  qopts.budget_us = cli.get_int("query-budget-us");
+  try {
+    for (Registration& reg : regs)
+      reg.handle = engine.add_query(reg.algorithm, reg.query, qopts);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 
-  std::printf("serving %zu update(s) [%s x%u, policy %s, queue %zu%s%s]\n",
-              stream.size() - resume_at, cli.get("algorithm").c_str(),
+  std::printf("serving %zu update(s) to %zu quer(ies) in %zu class(es) [%s x%u, "
+              "policy %s, queue %zu%s%s]\n",
+              stream.size() - resume_at, engine.num_queries(),
+              engine.num_classes(), cli.get("algorithm").c_str(),
               config.effective_threads(), cli.get("policy").c_str(),
               sopts.queue_capacity, sopts.budget_us > 0 ? ", deadline on" : "",
               sopts.wal_path.empty() ? "" : ", WAL on");
 
   bool interrupted = false;
+  std::string admin_error;
   service::ServiceReport report;
   {
-    service::StreamService svc(pc, sopts, hooks);
-    for (std::size_t i = resume_at; i < stream.size(); ++i) {
+    service::StreamService svc(engine, sopts, hooks);
+    std::size_t next_admin = 0;
+    for (std::size_t i = resume_at; i <= stream.size(); ++i) {
       if (g_stop) {
         interrupted = true;
         break;
       }
-      (void)svc.submit(stream[i]);
+      // Catalogue changes at their stream positions. On --recover every
+      // change at or before the resume point runs first, in order: that
+      // rebuilds the catalogue, handles included (the free list is
+      // deterministic).
+      while (next_admin < admin.size() && admin[next_admin].at <= i) {
+        const AdminEvent& ev = admin[next_admin++];
+        // Updates applied before this op: every op is a barrier, so exact.
+        const std::size_t pos = i - resume_at;
+        try {
+          if (ev.add) {
+            Registration reg;
+            reg.file = ev.query_file;
+            reg.algorithm = ev.algorithm;
+            reg.query = graph::load_query_graph_file(ev.query_file, collector);
+            reg.handle = svc.add_query(ev.algorithm, reg.query, qopts);
+            reg.from = pos;
+            std::printf("[admin @%zu] added %s (%s) -> handle %zu\n", ev.at,
+                        ev.query_file.c_str(), ev.algorithm.c_str(), reg.handle);
+            regs.push_back(std::move(reg));
+          } else {
+            const bool ok = svc.remove_query(ev.handle);
+            for (Registration& reg : regs)
+              if (ok && reg.handle == ev.handle && reg.to > pos) reg.to = pos;
+            std::printf("[admin @%zu] removed handle %zu%s\n", ev.at, ev.handle,
+                        ok ? "" : " (stale)");
+          }
+        } catch (const std::exception& e) {
+          admin_error = e.what();  // reported after finish(), below
+          break;
+        }
+      }
+      if (!admin_error.empty()) break;
+      if (i < stream.size()) (void)svc.submit(stream[i]);
     }
     // finish() drains everything already enqueued and flushes WAL + final
     // snapshot + metrics — the graceful-shutdown contract for SIGTERM too.
@@ -832,10 +756,15 @@ int main(int argc, char** argv) {
     std::printf("signal received: drained %llu update(s), durability flushed\n",
                 static_cast<unsigned long long>(report.stats.processed));
 
+  // A failed consumer also fails the admin op that was waiting on it.
   if (!report.error.empty()) {
     std::fprintf(stderr, "error: service consumer failed: %s\n",
                  report.error.c_str());
     return 1;
+  }
+  if (!admin_error.empty()) {
+    std::fprintf(stderr, "error: admin event failed: %s\n", admin_error.c_str());
+    return 2;
   }
 
   if (!trace_path.empty()) {
@@ -852,11 +781,20 @@ int main(int argc, char** argv) {
 
   const bench::LatencySummary lat = bench::summarize_histogram(report.latency);
   const auto& s = report.stats;
+  const auto& mq = report.mq;
   std::printf("[service %s] +%llu / -%llu matches in %.3f ms wall\n",
               cli.get("algorithm").c_str(),
               static_cast<unsigned long long>(report.positive),
               static_cast<unsigned long long>(report.negative),
               static_cast<double>(report.wall_ns) / 1e6);
+  for (const Registration& reg : regs) {
+    const std::size_t h = reg.handle;
+    std::printf("[query %zu] %s (%s): +%llu / -%llu%s\n", h, reg.file.c_str(),
+                reg.algorithm.c_str(),
+                static_cast<unsigned long long>(report.handle_positive[h]),
+                static_cast<unsigned long long>(report.handle_negative[h]),
+                report.handle_degraded[h] > 0 ? " (degraded)" : "");
+  }
   std::printf("updates: %llu processed, %llu degraded, %llu watchdog cancels, "
               "%llu deferred retries, %llu no-op skips, %llu replayed\n",
               static_cast<unsigned long long>(s.processed),
@@ -865,6 +803,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.deferred_retries),
               static_cast<unsigned long long>(s.noop_skipped),
               static_cast<unsigned long long>(s.replayed_updates));
+  std::printf("sharing: %llu/%llu verdicts by index, %llu grouped "
+              "(%llu degree memo hits), %llu searches (+%llu fan-out, "
+              "%llu anchor-skipped)\n",
+              static_cast<unsigned long long>(mq.verdicts_by_index),
+              static_cast<unsigned long long>(mq.verdicts_by_index +
+                                              mq.verdicts_grouped),
+              static_cast<unsigned long long>(mq.verdicts_grouped),
+              static_cast<unsigned long long>(mq.group_hits),
+              static_cast<unsigned long long>(mq.searches_run),
+              static_cast<unsigned long long>(mq.searches_shared),
+              static_cast<unsigned long long>(mq.searches_skipped));
   std::printf("ingest: %llu enqueued, %llu shed, %llu degraded, high water %llu, "
               "%llu blocked push(es) (%.3f ms)\n",
               static_cast<unsigned long long>(s.ingest.enqueued),
@@ -885,36 +834,10 @@ int main(int argc, char** argv) {
               static_cast<double>(lat.max_ns) / 1e6);
 
   if (const std::string jpath = cli.get("report-json"); !jpath.empty())
-    write_json_report(jpath, report, lat, cli.get("algorithm").c_str(),
+    write_json_report(jpath, report, lat, regs, cli.get("algorithm").c_str(),
                       config.effective_threads(), cli.get("policy").c_str());
 
-  if (verify_final) {
-    // Replay the *effective* applied order through the recompute oracle from
-    // the run's base state; state must match exactly, counts must match
-    // unless searches were deliberately degraded.
-    const verify::OracleTrace trace = verify::build_trace(
-        q, base, report.applied_order, algorithm->uses_edge_labels(),
-        /*strict=*/false);
-    const bool degraded_run = s.degraded_searches > 0;
-    bool ok = pc.graph().same_structure(trace.final_graph);
-    if (ok && !degraded_run)
-      ok = report.positive == trace.total_positive &&
-           report.negative == trace.total_negative;
-    if (ok && degraded_run)
-      ok = report.positive <= trace.total_positive &&
-           report.negative <= trace.total_negative;
-    if (!ok) {
-      std::fprintf(stderr,
-                   "VERIFY FAIL: end state diverges from the oracle "
-                   "(got +%llu/-%llu, oracle +%llu/-%llu)\n",
-                   static_cast<unsigned long long>(report.positive),
-                   static_cast<unsigned long long>(report.negative),
-                   static_cast<unsigned long long>(trace.total_positive),
-                   static_cast<unsigned long long>(trace.total_negative));
-      return 1;
-    }
-    std::printf("verify-final: OK (oracle-exact%s)\n",
-                degraded_run ? " modulo degraded searches" : "");
-  }
+  if (verify_final && !verify_final_state(report, base, engine.graph(), regs))
+    return 1;
   return 0;
 }

@@ -52,11 +52,6 @@ enum class EventKind : std::uint32_t {
   kMultiSearch,    ///< span: one shared per-class search; args class, members,
                    ///< matches
 
-  // Sharded operation (coordinator side, per request / per incident).
-  kShardRequest,   ///< span: one request/ack round trip; args shard, seq, type
-  kShardRetry,     ///< instant: a transport retry; args shard, seq, error
-  kShardRestart,   ///< instant: supervised shard restart; args shard, restarts
-
   kCount
 };
 
@@ -98,9 +93,6 @@ inline constexpr std::uint32_t kEventKindCount =
     case EventKind::kMetricsFlush: return "metrics_flush";
     case EventKind::kMultiClassify: return "multi_classify";
     case EventKind::kMultiSearch: return "multi_search";
-    case EventKind::kShardRequest: return "shard_request";
-    case EventKind::kShardRetry: return "shard_retry";
-    case EventKind::kShardRestart: return "shard_restart";
     case EventKind::kCount: break;
   }
   return "?";
@@ -134,10 +126,6 @@ inline constexpr std::uint32_t kEventKindCount =
     case EventKind::kWatchdogFire:
     case EventKind::kMetricsFlush:
       return "service";
-    case EventKind::kShardRequest:
-    case EventKind::kShardRetry:
-    case EventKind::kShardRestart:
-      return "shard";
     default:
       return "misc";
   }
@@ -166,9 +154,6 @@ inline constexpr std::uint32_t kEventKindCount =
     case EventKind::kMetricsFlush: return {"processed", nullptr, nullptr};
     case EventKind::kMultiClassify: return {"candidates", "u", "v"};
     case EventKind::kMultiSearch: return {"class", "members", "matches"};
-    case EventKind::kShardRequest: return {"shard", "seq", "type"};
-    case EventKind::kShardRetry: return {"shard", "seq", "error"};
-    case EventKind::kShardRestart: return {"shard", "restarts", nullptr};
     default: return {"a", "b", "c"};
   }
 }

@@ -114,9 +114,10 @@ StreamService::StreamService(engine::MultiQueryEngine& engine,
       queue_(opts_.queue_capacity, opts_.policy),
       budget_ns_(opts_.budget_us * 1000) {
   if (!opts_.wal_path.empty()) {
+    // A resumed log keeps the fingerprint its header already carries.
     wal_.emplace(opts_.wal_path, /*truncate=*/!opts_.wal_resume,
                  opts_.wal_resume ? opts_.wal_next_seq : 0,
-                 opts_.wal_fingerprint);
+                 opts_.wal_resume ? 0 : graph_fingerprint(engine_.graph()));
     seq_ = wal_->next_seq();
   }
   if (budget_ns_ > 0) watchdog_.emplace();
@@ -144,6 +145,7 @@ PushResult StreamService::submit(const graph::GraphUpdate& upd) {
   if (r == PushResult::kShed) {
     std::lock_guard<std::mutex> lk(defer_m_);
     defer_log_.push_back(upd);
+    deferred_.fetch_add(1, std::memory_order_relaxed);
   }
   return r;
 }
@@ -227,6 +229,7 @@ bool StreamService::pop_deferred(graph::GraphUpdate& out) {
   if (defer_log_.empty()) return false;
   out = defer_log_.front();
   defer_log_.pop_front();
+  deferred_.fetch_sub(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -236,10 +239,9 @@ void StreamService::drain_deferred() {
 }
 
 void StreamService::retry_deferred() {
-  {
-    std::lock_guard<std::mutex> lk(defer_m_);
-    if (defer_log_.empty()) return;
-  }
+  // A stale zero only postpones the replay: admin ops and shutdown drain the
+  // log under the lock.
+  if (deferred_.load(std::memory_order_relaxed) == 0) return;
   if (defer_countdown_ > 0) {
     --defer_countdown_;
     return;

@@ -39,6 +39,7 @@
 // the match callback must be installed before the first submit or admin op.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -126,14 +127,12 @@ struct ServiceOptions {
   /// (WAL flush + search); 0 disables the watchdog.
   std::int64_t budget_us = 0;
 
-  std::string wal_path;      ///< empty = durability off
+  /// Empty = durability off. A fresh log's header carries the fingerprint
+  /// of the engine's graph at construction (wal.hpp), so recovery onto any
+  /// other base graph is refused.
+  std::string wal_path;
   bool wal_resume = false;   ///< append (post-recovery) instead of truncating
   std::uint64_t wal_next_seq = 0;  ///< first seq when resuming
-
-  /// Identity fingerprint stamped into a fresh WAL's header (wal.hpp); 0
-  /// leaves identity unchecked. Shard workers pass graph_fingerprint(base)
-  /// salted with the shard id so a shard can never replay a sibling's log.
-  std::uint32_t wal_fingerprint = 0;
 
   std::string snapshot_path;       ///< empty = snapshots off
   std::uint64_t snapshot_every = 0;  ///< updates between snapshots; 0 = never
@@ -176,8 +175,7 @@ struct ServiceReport {
 };
 
 /// Completion summary of one processed update, delivered on the consumer
-/// thread right after the engine returns (before the next pop). The shard
-/// worker turns this into the per-update acknowledgement frame.
+/// thread right after the engine returns (before the next pop).
 struct UpdateDone {
   std::uint64_t seq = 0;   ///< WAL sequence (or the stand-in counter)
   bool applied = false;    ///< the graph mutation took effect
@@ -232,9 +230,8 @@ class StreamService {
 
   /// Install the per-update completion observer (consumer thread). Fired
   /// after every processed update — submitted, deferred-replayed, or drained
-  /// at shutdown — so a caller sequencing acknowledgements (the shard worker)
-  /// sees exactly one completion per admitted update. Call before the first
-  /// submit().
+  /// at shutdown — so a caller sees exactly one completion per admitted
+  /// update. Call before the first submit().
   void set_update_callback(std::function<void(const UpdateDone&)> cb) {
     on_done_ = std::move(cb);
   }
@@ -272,8 +269,11 @@ class StreamService {
   std::uint64_t arm_epoch_ = 0;  ///< consumer-minted epochs (never token_.arm())
   std::int64_t budget_ns_ = 0;
 
+  // The log itself is guarded by defer_m_; its length is mirrored in
+  // deferred_ so the consumer's per-update check takes no lock.
   std::mutex defer_m_;
   std::deque<graph::GraphUpdate> defer_log_;
+  std::atomic<std::size_t> deferred_{0};
   std::uint64_t defer_backoff_ = 1;   ///< consumer iterations between probes
   std::uint64_t defer_countdown_ = 0;
 

@@ -334,15 +334,13 @@ std::optional<Snapshot> read_snapshot(const std::string& path) {
 
 RecoveredState recover_state(const graph::DataGraph& base,
                              const std::string& wal_path,
-                             const std::string& snapshot_path,
-                             std::uint32_t expected_fingerprint) {
+                             const std::string& snapshot_path) {
   RecoveredState state;
   std::uint64_t replay_from = 0;
 
   WalReadResult wal = read_wal(wal_path);
   if (wal.has_header && wal.fingerprint != 0) {
-    const std::uint32_t expect =
-        expected_fingerprint != 0 ? expected_fingerprint : graph_fingerprint(base);
+    const std::uint32_t expect = graph_fingerprint(base);
     if (wal.fingerprint != expect) {
       std::ostringstream msg;
       msg << "wal: graph fingerprint mismatch on '" << wal_path

@@ -13,11 +13,12 @@
 // leaves behind — is detected by a short read, a checksum mismatch, or a
 // non-monotonic sequence number. Recovery truncates the file back to the last
 // good record; everything before it is trusted. The header's `graph_fp` is an
-// *identity* check (fingerprint of the graph the log was started from, plus
-// any caller salt): replaying a WAL onto the wrong base graph is rejected
-// with a clear error instead of silently corrupting state. Headerless files
-// (pre-header logs, tests that build raw record streams) read fine; identity
-// is simply unchecked for them.
+// *identity* check (fingerprint of the graph the log was started from; every
+// fresh StreamService log carries one): replaying a WAL onto the wrong base
+// graph is rejected with a clear error instead of silently corrupting state.
+// Headerless files and headers with fingerprint 0 (older service logs, tests
+// that build raw record streams) read fine; identity is simply unchecked for
+// them.
 //
 // Records are appended *before* the update is applied (redo semantics): a
 // crash between append and apply replays that update on recovery, and replay
@@ -178,9 +179,9 @@ struct RecoveredState {
 ///
 /// Two disagreement classes are *rejected* (std::runtime_error) instead of
 /// silently producing a wrong graph:
-///   * identity — the WAL header's graph fingerprint does not match
-///     `expected_fingerprint` (default: fingerprint(base)): this WAL belongs
-///     to a different graph/stream.
+///   * identity — the WAL header's graph fingerprint is non-zero and does not
+///     match graph_fingerprint(base): this WAL belongs to a different
+///     graph/stream.
 ///   * snapshot ahead of the WAL tail — the snapshot claims to be current
 ///     through a seq the WAL never reached: records were lost, the suffix
 ///     between them is unrecoverable.
@@ -188,7 +189,6 @@ struct RecoveredState {
 /// redo replay is idempotent by design.
 [[nodiscard]] RecoveredState recover_state(const graph::DataGraph& base,
                                            const std::string& wal_path,
-                                           const std::string& snapshot_path = {},
-                                           std::uint32_t expected_fingerprint = 0);
+                                           const std::string& snapshot_path = {});
 
 }  // namespace paracosm::service

@@ -1,17 +1,26 @@
-// Service layer (ISSUE 4): bounded ingest, WAL/snapshot durability, crash
-// recovery, and the oracle-checked fault matrix.
+// Service layer: bounded ingest, WAL/snapshot durability, crash recovery,
+// the oracle-checked fault matrix, and paracosm_serve's graceful shutdown.
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "graph/graph_io.hpp"
 #include "paracosm/multi_query.hpp"
 #include "paracosm/paracosm.hpp"
 #include "service/ingest.hpp"
@@ -474,6 +483,38 @@ engine::Config catalogue_config() {
   return cfg;
 }
 
+// A fresh service WAL records its graph's fingerprint, so recovering it onto
+// another graph is refused instead of replaying foreign records.
+TEST(StreamService, FreshWalRefusesRecoveryOntoAnotherGraph) {
+  testing::SmallWorkload wl = testing::make_workload(/*seed=*/19);
+  const testing::SmallWorkload other = testing::make_workload(/*seed=*/23);
+  const graph::DataGraph base = wl.graph;
+  ASSERT_NE(service::graph_fingerprint(base),
+            service::graph_fingerprint(other.graph));
+
+  const std::string wal = tmp_path("service_identity.wal");
+  {
+    engine::MultiQueryEngine engine(wl.graph, catalogue_config());
+    engine.add_query("graphflow", wl.query);
+    service::ServiceOptions opts;
+    opts.wal_path = wal;
+    service::StreamService svc(engine, opts);
+    for (const GraphUpdate& u : wl.stream) (void)svc.submit(u);
+    const service::ServiceReport report = svc.finish();
+    ASSERT_TRUE(report.error.empty()) << report.error;
+  }
+  EXPECT_EQ(service::read_wal(wal).fingerprint, service::graph_fingerprint(base));
+  EXPECT_NO_THROW((void)service::recover_state(base, wal));
+  try {
+    (void)service::recover_state(other.graph, wal);
+    FAIL() << "a service WAL recovered onto a foreign graph must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("fingerprint mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // A duplicate insert and a phantom delete leave the graph unchanged: the
 // service counts each as a no-op, whatever the number of registrations.
 TEST(StreamService, CatalogueCountsNoopSkips) {
@@ -594,6 +635,117 @@ TEST(StreamService, AdminOpAfterConsumerFailureCarriesTheError) {
   }
   EXPECT_EQ(report.error, "disk gone");
   EXPECT_EQ(report.stats.processed, 1u);
+}
+
+// ------------------------------------------------------------ paracosm_serve
+
+/// The paracosm_serve binary: build/tools, next to this test's build/tests.
+std::string serve_binary() {
+  char exe[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof exe - 1);
+  if (n <= 0) return "paracosm_serve";
+  std::string path(exe, static_cast<std::size_t>(n));
+  path.resize(path.rfind('/'));
+  return path + "/../tools/paracosm_serve";
+}
+
+/// fork + exec paracosm_serve with `args`; stdout and stderr go to `log`.
+pid_t spawn_serve(const std::vector<std::string>& args, const std::string& log) {
+  std::vector<std::string> words = {serve_binary()};
+  words.insert(words.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& w : words) argv.push_back(w.data());
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int fd = ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd >= 0) {
+      ::dup2(fd, STDOUT_FILENO);
+      ::dup2(fd, STDERR_FILENO);
+    }
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  return pid;
+}
+
+/// Exit code of `pid`, or 128 + signal when a signal killed it.
+int wait_exit_code(pid_t pid) {
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid) return -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// SIGTERM mid-stream is a graceful stop: the tool drains what it enqueued,
+// leaves the WAL and a final snapshot on disk and exits 0, and a --recover
+// run resumes from them and passes --verify-final.
+TEST(ServeTool, SigtermMidStreamDrainsFlushesDurabilityAndExitsZero) {
+  // ~250 updates at 5 ms each: the run is still serving when the signal lands.
+  const testing::SmallWorkload wl =
+      testing::make_workload(/*seed=*/77, /*n=*/96, /*m=*/480);
+  ASSERT_GE(wl.stream.size(), 100u);
+  const std::string dir = tmp_path("serve_sigterm");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  graph::save_data_graph_file(wl.graph, dir + "/g.graph");
+  graph::save_query_graph_file(wl.query, dir + "/q.graph");
+  graph::save_update_stream_file(wl.stream, dir + "/s.stream");
+  const std::string wal = dir + "/s.wal";
+  const std::string snap = dir + "/s.snap";
+  const std::vector<std::string> common = {
+      "--graph", dir + "/g.graph", "--query", dir + "/q.graph",
+      "--stream", dir + "/s.stream", "--algorithm", "graphflow",
+      "--threads", "2", "--wal", wal, "--snapshot", snap};
+
+  // A 4-slot ring keeps the producer a few updates ahead of the consumer, so
+  // the signal stops the stream instead of landing after the last submit.
+  std::vector<std::string> args = common;
+  for (const char* a : {"--queue", "4", "--slow-consumer-us", "5000"})
+    args.emplace_back(a);
+  const pid_t pid = spawn_serve(args, dir + "/serve.log");
+  ASSERT_GT(pid, 0);
+  constexpr std::uint64_t kBeforeSignal = 8;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::error_code ec;
+  while (std::filesystem::file_size(wal, ec) <
+             service::kWalHeaderBytes + kBeforeSignal * service::kWalRecordBytes ||
+         ec) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << read_file(dir + "/serve.log");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  ASSERT_EQ(wait_exit_code(pid), 0) << read_file(dir + "/serve.log");
+
+  const service::WalReadResult log = service::read_wal(wal);
+  EXPECT_FALSE(log.torn_tail);
+  EXPECT_GE(log.records.size(), kBeforeSignal);
+  EXPECT_LT(log.records.size(), wl.stream.size())
+      << "the signal landed after the whole stream was served";
+  const auto final_snap = service::read_snapshot(snap);
+  ASSERT_TRUE(final_snap.has_value()) << "no final snapshot on disk";
+  EXPECT_EQ(final_snap->meta.seq, log.records.size());
+
+  args = common;
+  args.emplace_back("--recover");
+  args.emplace_back("--verify-final");
+  const pid_t rec = spawn_serve(args, dir + "/recover.log");
+  ASSERT_GT(rec, 0);
+  const int code = wait_exit_code(rec);
+  const std::string out = read_file(dir + "/recover.log");
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("resuming at seq " + std::to_string(log.records.size())),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("verify-final: OK"), std::string::npos) << out;
+  EXPECT_EQ(service::read_wal(wal).records.size(), wl.stream.size());
 }
 
 }  // namespace

@@ -23,7 +23,6 @@
 #include "verify/multi_check.hpp"
 #include "verify/repro.hpp"
 #include "verify/service_check.hpp"
-#include "verify/shard_check.hpp"
 #include "verify/shrinker.hpp"
 
 namespace {
@@ -83,13 +82,7 @@ int main(int argc, char** argv) {
             "Diff the shared multi-query engine against independent "
             "single-query runs (static and runtime add/remove lanes, the "
             "add/remove schedule served through StreamService, and its kill "
-            "points)")
-      .flag("shard",
-            "Run the sharded fault matrix: the multi-process coordinator "
-            "(clean / seeded kills / transport faults) diffed byte-for-byte "
-            "against a single-process run")
-      .option("shards", "2", "--shard: worker process count per case")
-      .option("kill-points", "3", "--shard: seeded kill cells per case");
+            "points)");
   if (!cli.parse(argc, argv)) return cli.exit_code();
 
   verify::AlgorithmFactory factory;
@@ -130,7 +123,6 @@ int main(int argc, char** argv) {
 
   const bool service_mode = cli.get_bool("service");
   const bool multi_mode = cli.get_bool("multi");
-  const bool shard_mode = cli.get_bool("shard");
   const std::vector<unsigned> thread_list = parse_thread_list(cli.get("threads"));
 
   // The multi lane wants more standing queries per case than the engine
@@ -154,18 +146,6 @@ int main(int argc, char** argv) {
       if (!thread_list.empty()) mopts.thread_counts = thread_list;
       mopts.dir = cli.get("out");
       divs = verify::check_multi_case(c, mopts);
-    } else if (shard_mode) {
-      // Sharded differential gate: multi-process coordinator vs one
-      // single-process run, under clean / kill / transport-fault lanes
-      // (see verify/shard_check.hpp). Spawns real worker processes; not
-      // shrinkable — failures carry the seed for replay.
-      verify::ShardCheckOptions shopts;
-      if (!algo_names.empty()) shopts.algorithm = algo_names.front();
-      if (!thread_list.empty()) shopts.threads = thread_list.front();
-      shopts.n_shards = static_cast<std::uint32_t>(cli.get_int("shards"));
-      shopts.kill_points = static_cast<std::uint32_t>(cli.get_int("kill-points"));
-      shopts.dir = cli.get("out");
-      divs = verify::check_shard_case(c, shopts);
     } else if (service_mode) {
       // Service fault matrix: every resilience lane, cross-checked against
       // the oracle (see verify/service_check.hpp). Algorithm defaults to the

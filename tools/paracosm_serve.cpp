@@ -26,7 +26,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -39,12 +38,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_ring.hpp"
 #include "paracosm/multi_query.hpp"
-#include "paracosm/paracosm.hpp"
 #include "service/service.hpp"
 #include "service/wal.hpp"
-#include "shard/coordinator.hpp"
-#include "shard/fault.hpp"
-#include "util/checksum.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "verify/oracle_mirror.hpp"
@@ -54,8 +49,8 @@ using namespace paracosm;
 namespace {
 
 /// SIGTERM/SIGINT request a graceful stop: the submit loop breaks, the
-/// service (or coordinator) drains what was already enqueued, flushes WAL +
-/// final snapshot + metrics/trace, and the process exits 0.
+/// service drains what was already enqueued, flushes WAL + final snapshot +
+/// metrics/trace, and the process exits 0.
 volatile std::sig_atomic_t g_stop = 0;
 
 void on_stop_signal(int) { g_stop = 1; }
@@ -130,206 +125,6 @@ struct Registration {
   std::size_t from = 0;
   std::size_t to = std::numeric_limits<std::size_t>::max();
 };
-
-void write_shard_json_report(const std::string& path,
-                             const shard::CoordinatorReport& r,
-                             const char* algorithm, std::uint32_t n_shards,
-                             const std::string& fault_spec) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write --report-json '%s'\n",
-                 path.c_str());
-    return;
-  }
-  out << "{\n"
-      << "  \"mode\": \"sharded\",\n"
-      << "  \"algorithm\": \"" << algorithm << "\",\n"
-      << "  \"shards\": " << n_shards << ",\n";
-  out << "  \"fault_spec\": \"" << fault_spec << "\",\n"
-      << "  \"processed\": " << r.processed << ",\n"
-      << "  \"applied\": " << r.applied << ",\n"
-      << "  \"positive\": " << r.positive << ",\n"
-      << "  \"negative\": " << r.negative << ",\n"
-      << "  \"matches_delivered\": " << r.matches_delivered << ",\n"
-      << "  \"delta_checksum\": " << r.delta_checksum << ",\n"
-      << "  \"restarts\": " << r.restarts << ",\n"
-      << "  \"failovers\": " << r.failovers << ",\n"
-      << "  \"deferred_replays\": " << r.deferred_replays << ",\n"
-      << "  \"transport\": {\n"
-      << "    \"frames_sent\": " << r.transport.frames_sent << ",\n"
-      << "    \"frames_received\": " << r.transport.frames_received << ",\n"
-      << "    \"retries\": " << r.transport.retries << ",\n"
-      << "    \"timeouts\": " << r.transport.timeouts << ",\n"
-      << "    \"checksum_drops\": " << r.transport.checksum_drops << ",\n"
-      << "    \"torn_frames\": " << r.transport.torn_frames << ",\n"
-      << "    \"peer_gone\": " << r.transport.peer_gone << ",\n"
-      << "    \"stale_acks\": " << r.transport.stale_acks << "\n"
-      << "  },\n"
-      << "  \"faults_injected\": {\n"
-      << "    \"dropped\": " << r.faults.dropped << ",\n"
-      << "    \"duplicated\": " << r.faults.duplicated << ",\n"
-      << "    \"corrupted\": " << r.faults.corrupted << ",\n"
-      << "    \"delayed\": " << r.faults.delayed << "\n"
-      << "  },\n"
-      << "  \"shard_lanes\": [\n";
-  for (std::size_t i = 0; i < r.shards.size(); ++i) {
-    const shard::ShardLane& lane = r.shards[i];
-    out << "    {\"shard\": " << lane.shard << ", \"owned\": " << lane.owned
-        << ", \"restarts\": " << lane.restarts
-        << ", \"permanently_dead\": " << (lane.permanently_dead ? "true" : "false")
-        << ", \"wal_replayed\": " << lane.hello_replayed;
-    if (lane.have_summary)
-      out << ", \"processed\": " << lane.summary.processed
-          << ", \"wal_records\": " << lane.summary.wal_records
-          << ", \"wal_retries\": " << lane.summary.wal_retries
-          << ", \"snapshots\": " << lane.summary.snapshots;
-    out << "}" << (i + 1 < r.shards.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n"
-      << "  \"error\": \"" << r.error << "\"\n"
-      << "}\n";
-}
-
-/// --shards N: run the supervised multi-process mode (DESIGN.md §12). The
-/// parent becomes coordinator + supervisor; each shard worker is a fork/exec
-/// of paracosm_shard running the full service pipeline over its replica.
-int run_sharded(const util::Cli& cli, const std::string& graph_path,
-                const std::string& query_path, const graph::DataGraph& g,
-                const graph::QueryGraph& q, csm::CsmAlgorithm& algorithm,
-                const std::vector<graph::GraphUpdate>& stream) {
-  shard::CoordinatorOptions copts;
-  copts.sup.n_shards = static_cast<std::uint32_t>(cli.get_int("shards"));
-  copts.sup.shard_binary = cli.get("shard-bin");
-  copts.sup.graph_path = graph_path;
-  copts.sup.query_path = query_path;
-  copts.sup.algorithm = cli.get("algorithm");
-  copts.sup.worker_threads = static_cast<unsigned>(cli.get_int("threads"));
-  copts.sup.dir = cli.get("shard-dir");
-  std::error_code dir_ec;
-  std::filesystem::create_directories(copts.sup.dir, dir_ec);
-  if (dir_ec) {
-    std::fprintf(stderr, "error: cannot create --shard-dir %s: %s\n",
-                 copts.sup.dir.c_str(), dir_ec.message().c_str());
-    return 2;
-  }
-  copts.sup.snapshot_every =
-      static_cast<std::uint64_t>(cli.get_int("snapshot-every"));
-  copts.sup.budget_us = cli.get_int("budget-us");
-  copts.sup.restart_budget = static_cast<int>(cli.get_int("restart-budget"));
-  copts.sup.kill_shard = static_cast<int>(cli.get_int("kill-shard"));
-  copts.sup.kill_at = cli.get_int("kill-at");
-  if (!cli.get("metrics-out").empty()) {
-    copts.sup.worker_metrics = true;
-    copts.sup.metrics_every =
-        static_cast<std::uint64_t>(cli.get_int("metrics-every"));
-  }
-  copts.policy.attempt_timeout_ms = cli.get_int("attempt-timeout-ms");
-  const std::string fault_spec = cli.get("fault");
-  if (!fault_spec.empty()) {
-    try {
-      copts.fault = shard::FaultPlan::parse(fault_spec);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: bad --fault spec: %s\n", e.what());
-      return 2;
-    }
-  }
-
-  std::printf("serving %zu update(s) across %u shard(s) [%s x%u%s%s]\n",
-              stream.size(), copts.sup.n_shards, copts.sup.algorithm.c_str(),
-              copts.sup.worker_threads,
-              copts.sup.kill_at >= 0 ? ", kill fault armed" : "",
-              copts.fault.any() ? ", transport faults armed" : "");
-
-  shard::Coordinator coord(copts);
-  if (!coord.start()) {
-    std::fprintf(stderr, "error: %s\n", coord.error().c_str());
-    return 1;
-  }
-  for (const graph::GraphUpdate& upd : stream) {
-    if (g_stop) {
-      std::printf("signal received: draining and shutting shards down\n");
-      break;
-    }
-    if (!coord.process(upd)) break;
-  }
-  const shard::CoordinatorReport report = coord.finish();
-
-  std::printf("[sharded %s] +%llu / -%llu matches, %llu mapping(s) delivered, "
-              "delta checksum %016llx\n",
-              copts.sup.algorithm.c_str(),
-              static_cast<unsigned long long>(report.positive),
-              static_cast<unsigned long long>(report.negative),
-              static_cast<unsigned long long>(report.matches_delivered),
-              static_cast<unsigned long long>(report.delta_checksum));
-  std::printf("supervision: %llu restart(s), %llu failover(s), %llu deferred "
-              "replay(s) — delayed, never dropped\n",
-              static_cast<unsigned long long>(report.restarts),
-              static_cast<unsigned long long>(report.failovers),
-              static_cast<unsigned long long>(report.deferred_replays));
-  std::printf("transport: %llu sent / %llu received, %llu retries, %llu "
-              "timeouts, %llu checksum drops, %llu torn, %llu peer-gone\n",
-              static_cast<unsigned long long>(report.transport.frames_sent),
-              static_cast<unsigned long long>(report.transport.frames_received),
-              static_cast<unsigned long long>(report.transport.retries),
-              static_cast<unsigned long long>(report.transport.timeouts),
-              static_cast<unsigned long long>(report.transport.checksum_drops),
-              static_cast<unsigned long long>(report.transport.torn_frames),
-              static_cast<unsigned long long>(report.transport.peer_gone));
-  for (const shard::ShardLane& lane : report.shards)
-    std::printf("[shard %u] owned %llu, %d restart(s)%s%s\n", lane.shard,
-                static_cast<unsigned long long>(lane.owned), lane.restarts,
-                lane.hello_replayed > 0 ? " (WAL replayed on respawn)" : "",
-                lane.permanently_dead ? ", PERMANENTLY DEAD" : "");
-
-  if (const std::string jpath = cli.get("report-json"); !jpath.empty())
-    write_shard_json_report(jpath, report, copts.sup.algorithm.c_str(),
-                            copts.sup.n_shards, fault_spec);
-
-  if (!report.error.empty()) {
-    std::fprintf(stderr, "error: %s\n", report.error.c_str());
-    return 1;
-  }
-
-  if (cli.get_bool("verify-final")) {
-    // The differential gate: one single-process engine run over the same
-    // prefix must produce the identical merged ΔM stream.
-    engine::Config config;
-    config.threads = static_cast<unsigned>(cli.get_int("threads"));
-    config.inter_parallelism = false;
-    graph::DataGraph og = g;
-    engine::ParaCosm oracle(algorithm, q, og, config);
-    std::vector<csm::Assignment> buf;
-    oracle.set_match_callback([&buf](std::span<const csm::Assignment> m) {
-      buf.insert(buf.end(), m.begin(), m.end());
-    });
-    std::uint64_t h = util::kFnv1aOffset;
-    std::uint64_t pos = 0, neg = 0;
-    for (std::uint64_t seq = 0; seq < report.processed; ++seq) {
-      buf.clear();
-      const csm::UpdateOutcome out = oracle.process(stream[seq]);
-      pos += out.positive;
-      neg += out.negative;
-      h = shard::fold_delta(h, seq, out.positive, out.negative, buf);
-    }
-    if (h != report.delta_checksum || pos != report.positive ||
-        neg != report.negative) {
-      std::fprintf(stderr,
-                   "VERIFY FAIL: sharded ΔM diverges from the single-process "
-                   "oracle (got +%llu/-%llu cksum %016llx, oracle "
-                   "+%llu/-%llu cksum %016llx)\n",
-                   static_cast<unsigned long long>(report.positive),
-                   static_cast<unsigned long long>(report.negative),
-                   static_cast<unsigned long long>(report.delta_checksum),
-                   static_cast<unsigned long long>(pos),
-                   static_cast<unsigned long long>(neg),
-                   static_cast<unsigned long long>(h));
-      return 1;
-    }
-    std::printf("verify-final: OK (sharded ΔM byte-identical to the "
-                "single-process oracle)\n");
-  }
-  return 0;
-}
 
 void write_json_report(const std::string& path, const service::ServiceReport& r,
                        const bench::LatencySummary& lat,
@@ -486,23 +281,6 @@ int main(int argc, char** argv) {
       .option("wal", "", "write-ahead log path (empty = durability off)")
       .option("snapshot", "", "snapshot path (empty = snapshots off)")
       .option("snapshot-every", "0", "updates between snapshots (0 = never)")
-      .option("shards", "0",
-              "run sharded: supervise N paracosm_shard worker processes "
-              "(0 = single-process mode; needs exactly one query)")
-      .option("shard-dir", ".",
-              "--shards: directory for per-shard WAL/snapshot/metrics files")
-      .option("shard-bin", "",
-              "--shards: worker binary (default: $PARACOSM_SHARD_BIN, else "
-              "next to this executable)")
-      .option("fault", "",
-              "--shards: transport fault spec "
-              "\"seed=N,drop=R,dup=R,corrupt=R,delay=R:US\"")
-      .option("kill-shard", "-1",
-              "--shards: arm --kill-at inside this shard's first incarnation")
-      .option("restart-budget", "3",
-              "--shards: restarts per shard before it is permanently dead")
-      .option("attempt-timeout-ms", "1000",
-              "--shards: per-attempt transport response deadline")
       .option("kill-at", "-1",
               "fault: _exit(137) after WAL record N is durable, before apply")
       .option("timeout-rate", "0",
@@ -547,14 +325,6 @@ int main(int argc, char** argv) {
                  "N:handle)\n");
     return 2;
   }
-  const bool sharded = cli.get_int("shards") > 0;
-  if (sharded && (query_files.size() != 1 || algorithms.size() != 1 ||
-                  !admin.empty())) {
-    std::fprintf(stderr,
-                 "error: --shards serves exactly one query (one --query, one "
-                 "--algorithm, no --add-at/--remove-at)\n");
-    return 2;
-  }
 
   const bool strict = cli.get_bool("strict");
   std::vector<graph::ParseError> errors;
@@ -579,24 +349,9 @@ int main(int argc, char** argv) {
   for (const graph::ParseError& e : errors)
     std::fprintf(stderr, "warning: skipped %s\n", e.to_string().c_str());
 
-  // Graceful shutdown in every mode: drain, flush durability, exit 0.
+  // Graceful shutdown: drain, flush durability, exit 0.
   std::signal(SIGTERM, on_stop_signal);
   std::signal(SIGINT, on_stop_signal);
-
-  if (sharded) {
-    auto algorithm = csm::make_algorithm(algorithms.front());
-    if (!algorithm) {
-      std::fprintf(stderr, "error: unknown algorithm '%s'\n",
-                   algorithms.front().c_str());
-      return 2;
-    }
-    if (cli.get_int("shards") == 1)
-      std::fprintf(stderr,
-                   "warning: --shards 1 supervises a single worker — valid, "
-                   "but there is no one to fail over to\n");
-    return run_sharded(cli, graph_path, query_files.front(), g,
-                       regs.front().query, *algorithm, stream);
-  }
 
   sopts.queue_capacity = static_cast<std::size_t>(cli.get_int("queue"));
   sopts.budget_us = cli.get_int("budget-us");
@@ -635,8 +390,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: --recover requires --wal\n");
       return 2;
     }
-    service::RecoveredState rec =
-        service::recover_state(g, sopts.wal_path, sopts.snapshot_path);
+    service::RecoveredState rec;
+    try {
+      rec = service::recover_state(g, sopts.wal_path, sopts.snapshot_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
     std::printf("recovery: %llu WAL record(s) replayed%s%s, resuming at seq %llu\n",
                 static_cast<unsigned long long>(rec.replayed),
                 rec.used_snapshot ? " on top of snapshot" : "",
@@ -705,7 +465,9 @@ int main(int argc, char** argv) {
   bool interrupted = false;
   std::string admin_error;
   service::ServiceReport report;
-  {
+  // Start-up and shutdown I/O (opening the WAL, the final snapshot and
+  // metrics) throws; the consumer's own failures land in report.error.
+  try {
     service::StreamService svc(engine, sopts, hooks);
     std::size_t next_admin = 0;
     for (std::size_t i = resume_at; i <= stream.size(); ++i) {
@@ -750,6 +512,9 @@ int main(int argc, char** argv) {
     // finish() drains everything already enqueued and flushes WAL + final
     // snapshot + metrics — the graceful-shutdown contract for SIGTERM too.
     report = svc.finish();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
   report.stats.replayed_updates = replayed;
   if (interrupted)

@@ -41,8 +41,8 @@ enum class EventKind : std::uint32_t {
 
   // Service layer (per update).
   kServiceUpdate,  ///< span: the pop->WAL->search pipeline; args seq, op
-  kWalAppend,      ///< span: WAL record append; args seq
-  kWalFsync,       ///< span: WAL stream flush
+  kWalAppend,      ///< span: one run's WAL append; args first seq, records
+  kWalFsync,       ///< span: one run's WAL flush
   kWatchdogFire,   ///< instant: deadline enforced; args epoch
   kMetricsFlush,   ///< span: periodic metrics snapshot written; args processed
 
@@ -148,7 +148,7 @@ inline constexpr std::uint32_t kEventKindCount =
     case EventKind::kPrune: return {"depth", nullptr, nullptr};
     case EventKind::kEmit: return {"depth", nullptr, nullptr};
     case EventKind::kServiceUpdate: return {"seq", "op", nullptr};
-    case EventKind::kWalAppend: return {"seq", nullptr, nullptr};
+    case EventKind::kWalAppend: return {"seq", "records", nullptr};
     case EventKind::kWalFsync: return {nullptr, nullptr, nullptr};
     case EventKind::kWatchdogFire: return {"epoch", nullptr, nullptr};
     case EventKind::kMetricsFlush: return {"processed", nullptr, nullptr};

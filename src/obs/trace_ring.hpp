@@ -217,22 +217,26 @@ struct RingSnapshot {
   std::vector<TraceEvent> events;
 };
 
-/// Process-wide registry of per-thread rings. Threads register lazily on
-/// their first recorded event; entries outlive their threads so a trace can
-/// be collected after the pool shut down.
+/// Process-wide registry of per-thread rings. A thread registers when it
+/// names itself or records its first event, and its ring is allocated at the
+/// first recorded event, so a named thread that never traces costs an entry,
+/// not a ring. Entries outlive their threads so a trace can be collected
+/// after the pool shut down.
 class TraceRegistry {
  public:
   static TraceRegistry& instance();
 
-  /// The calling thread's ring (registered on first use; cached in a
+  /// The calling thread's ring (allocated on first use; cached in a
   /// thread_local afterwards, so the steady-state cost is one TLS load).
   TraceRing& ring();
 
-  /// Label the calling thread's lane in exported traces.
+  /// Label the calling thread's lane in exported traces. Stores the name
+  /// only: no ring is allocated until the thread records an event.
   static void set_thread_name(const std::string& name);
 
-  /// Capacity used for rings registered from now on (existing rings keep
-  /// theirs). Call before spawning the threads you want resized.
+  /// Capacity used for rings allocated from now on (existing rings keep
+  /// theirs): a thread's ring takes the capacity in force at its first
+  /// recorded event.
   void set_ring_capacity(std::size_t capacity);
 
   /// Snapshot every registered lane (safe while producers are live).
@@ -245,11 +249,12 @@ class TraceRegistry {
  private:
   struct Entry {
     std::uint32_t tid;
-    std::unique_ptr<TraceRing> ring;
+    std::unique_ptr<TraceRing> ring;  ///< null until the first recorded event
     std::string name;
   };
 
-  Entry* entry_for_this_thread();
+  /// The calling thread's entry, registered on first use; caller holds m_.
+  Entry* entry_locked();
 
   mutable std::mutex m_;
   std::vector<std::unique_ptr<Entry>> entries_;

@@ -116,6 +116,7 @@ struct IngestStats {
   std::uint64_t blocked_pushes = 0;  ///< pushes that had to back off (block policy)
   std::int64_t blocked_ns = 0;       ///< wall time producers spent backing off
   std::uint64_t high_water = 0;      ///< max queue depth observed
+  std::uint64_t parks = 0;           ///< times the idle consumer slept on its futex
 
   void merge(const IngestStats& other) noexcept {
     enqueued += other.enqueued;
@@ -124,6 +125,7 @@ struct IngestStats {
     blocked_pushes += other.blocked_pushes;
     blocked_ns += other.blocked_ns;
     high_water = std::max(high_water, other.high_water);
+    parks += other.parks;
   }
 };
 
@@ -138,6 +140,7 @@ struct ServiceStats {
   std::uint64_t noop_skipped = 0;       ///< rejected mutations (skip + count)
   std::uint64_t snapshots = 0;          ///< snapshots written
   std::uint64_t wal_records = 0;        ///< WAL records appended
+  std::uint64_t wal_flushes = 0;        ///< WAL fdatasyncs, one per run
   std::uint64_t wal_retries = 0;        ///< transient WAL write/sync retries
   std::uint64_t watchdog_cancels = 0;   ///< deadlines enforced by the watchdog
   std::uint64_t metrics_flushes = 0;    ///< periodic metrics snapshots written
@@ -151,6 +154,7 @@ struct ServiceStats {
     noop_skipped += other.noop_skipped;
     snapshots += other.snapshots;
     wal_records += other.wal_records;
+    wal_flushes += other.wal_flushes;
     wal_retries += other.wal_retries;
     watchdog_cancels += other.watchdog_cancels;
     metrics_flushes += other.metrics_flushes;

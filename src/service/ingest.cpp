@@ -9,11 +9,15 @@ namespace paracosm::service {
 
 namespace {
 
-/// Shared spin → yield → sleep schedule for both the blocked producer and
-/// the idle consumer. Sleep doubles up to ~1ms so a stalled peer costs
-/// microseconds of latency, not a hot core.
+/// Spin → yield → sleep schedule. A producer blocked on a full ring (and
+/// push_admin) runs all of it: sleep doubles up to ~1ms so a stalled consumer
+/// costs microseconds of latency, not a hot core. The idle consumer runs the
+/// spin and yield phases only, then parks.
 struct Backoff {
   unsigned round = 0;
+
+  /// The spin and yield phases are over: the next wait() would sleep.
+  [[nodiscard]] bool polled_out() const noexcept { return round >= 96; }
 
   void wait() noexcept {
     if (round < 64) {
@@ -52,7 +56,10 @@ bool IngestQueue::try_push(const IngestItem& item) {
     const auto diff =
         static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos);
     if (diff == 0) {
+      // seq_cst: the producer's half of the wake handshake (park()). On x86
+      // every locked cmpxchg is a full barrier already.
       if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
+                                             std::memory_order_seq_cst,
                                              std::memory_order_relaxed)) {
         cell.item = item;
         cell.seq.store(pos + 1, std::memory_order_release);
@@ -104,10 +111,40 @@ std::size_t IngestQueue::approx_size() const noexcept {
   return enq > deq ? enq - deq : 0;
 }
 
+void IngestQueue::wake_consumer() noexcept {
+  // A busy consumer costs one load here. The exchange lets only one of
+  // several racing producers pay for the futex wake.
+  if (parked_.load(std::memory_order_seq_cst) != 0 &&
+      parked_.exchange(0, std::memory_order_seq_cst) != 0)
+    parked_.notify_one();
+}
+
+void IngestQueue::park() {
+  // Dekker handshake with try_push's seq_cst CAS and wake_consumer(): publish
+  // the flag, then re-read the enqueue cursor and closed_. A push or close()
+  // ahead of the flag in the total order shows up here; one behind it sees
+  // the flag and clears it, which the wait below checks for.
+  parked_.store(1, std::memory_order_seq_cst);
+  if (enqueue_pos_.load(std::memory_order_seq_cst) !=
+          dequeue_pos_.load(std::memory_order_relaxed) ||
+      closed_.load(std::memory_order_seq_cst)) {
+    parked_.store(0, std::memory_order_relaxed);
+    return;
+  }
+  parks_.fetch_add(1, std::memory_order_relaxed);
+  parked_.wait(1, std::memory_order_acquire);  // until a waker clears the flag
+}
+
+void IngestQueue::close() noexcept {
+  closed_.store(true, std::memory_order_seq_cst);
+  wake_consumer();
+}
+
 PushResult IngestQueue::push(const graph::GraphUpdate& upd) {
   if (closed()) return PushResult::kClosed;
   IngestItem item{upd, false, nullptr};
   if (try_push(item)) {
+    wake_consumer();
     enqueued_.fetch_add(1, std::memory_order_relaxed);
     note_depth();
     return PushResult::kOk;
@@ -130,6 +167,7 @@ PushResult IngestQueue::push(const graph::GraphUpdate& upd) {
     }
     backoff.wait();
   }
+  wake_consumer();
   blocked_ns_.fetch_add(timer.elapsed_ns(), std::memory_order_relaxed);
   enqueued_.fetch_add(1, std::memory_order_relaxed);
   if (item.degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
@@ -142,20 +180,26 @@ void IngestQueue::push_admin(AdminOp* op) {
   item.admin = op;
   Backoff backoff;
   while (!closed()) {
-    if (try_push(item)) return;
+    if (try_push(item)) {
+      wake_consumer();
+      return;
+    }
     backoff.wait();
   }
 }
 
 bool IngestQueue::pop_wait(IngestItem& out) {
-  Backoff backoff;
   for (;;) {
-    if (try_pop(out)) return true;
-    // The acquire-load of closed_ synchronizes with the producer's
-    // release-store, so any push sequenced before close() is visible to the
-    // final drain probe below.
-    if (closed()) return try_pop(out);
-    backoff.wait();
+    Backoff backoff;
+    while (!backoff.polled_out()) {
+      if (try_pop(out)) return true;
+      // The acquire-load of closed_ synchronizes with close()'s store, so
+      // any push sequenced before close() is visible to the final drain
+      // probe below.
+      if (closed()) return try_pop(out);
+      backoff.wait();
+    }
+    park();
   }
 }
 
@@ -167,6 +211,7 @@ engine::IngestStats IngestQueue::stats() const {
   s.blocked_pushes = blocked_pushes_.load(std::memory_order_relaxed);
   s.blocked_ns = blocked_ns_.load(std::memory_order_relaxed);
   s.high_water = high_water_.load(std::memory_order_relaxed);
+  s.parks = parks_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -6,6 +6,8 @@
 // threads call push(), the single service consumer calls pop_wait(). Bounding
 // the ring is the whole point — it converts an ingest burst into an explicit,
 // *observable* overload event instead of an unbounded heap of queued work.
+// The idle consumer spins, yields, then parks on a futex flag; a producer
+// pays for a wake only when that flag is set (pop_wait, wake_consumer).
 // What happens at the full-ring edge is the overload policy:
 //
 //   kBlock   — the producer backs off (spin → yield → sleep, exponential)
@@ -76,16 +78,19 @@ class IngestQueue {
   /// them. A closed queue drops the op.
   void push_admin(AdminOp* op);
 
-  /// Consumer side: blocks (spin → yield → sleep backoff) until an item
-  /// arrives or the queue is closed *and* drained. Returns false on the
-  /// latter — the consumer's termination signal.
+  /// Consumer side (one caller at a time): blocks until an item arrives or
+  /// the queue is closed *and* drained. Returns false on the latter — the
+  /// consumer's termination signal. An empty ring is polled for a short spin
+  /// and yield phase, then the consumer parks on the futex until a push or
+  /// close() wakes it; there is no timed wake-up.
   [[nodiscard]] bool pop_wait(IngestItem& out);
 
-  /// Non-blocking pop (drain paths and tests).
+  /// Non-blocking pop (runs, drain paths and tests).
   [[nodiscard]] bool try_pop(IngestItem& out);
 
   /// After close(), pushes return kClosed and pop_wait drains then stops.
-  void close() noexcept { closed_.store(true, std::memory_order_release); }
+  /// Wakes a parked consumer.
+  void close() noexcept;
   [[nodiscard]] bool closed() const noexcept {
     return closed_.load(std::memory_order_acquire);
   }
@@ -104,6 +109,8 @@ class IngestQueue {
 
   [[nodiscard]] bool try_push(const IngestItem& item);
   void note_depth() noexcept;
+  void park();
+  void wake_consumer() noexcept;
 
   std::vector<Cell> cells_;
   std::size_t mask_;
@@ -112,6 +119,8 @@ class IngestQueue {
 
   alignas(64) std::atomic<std::size_t> enqueue_pos_{0};
   alignas(64) std::atomic<std::size_t> dequeue_pos_{0};
+  /// 1 while the consumer sleeps on it (or is about to); the futex word.
+  alignas(64) std::atomic<std::uint32_t> parked_{0};
 
   std::atomic<std::uint64_t> enqueued_{0};
   std::atomic<std::uint64_t> shed_{0};
@@ -119,6 +128,7 @@ class IngestQueue {
   std::atomic<std::uint64_t> blocked_pushes_{0};
   std::atomic<std::int64_t> blocked_ns_{0};
   std::atomic<std::uint64_t> high_water_{0};
+  std::atomic<std::uint64_t> parks_{0};
 };
 
 }  // namespace paracosm::service

@@ -224,18 +224,18 @@ void StreamService::run_admin(AdminOp& op) {
   admin_cv_.notify_all();
 }
 
-bool StreamService::pop_deferred(graph::GraphUpdate& out) {
+bool StreamService::pop_deferred_run() {
   std::lock_guard<std::mutex> lk(defer_m_);
-  if (defer_log_.empty()) return false;
-  out = defer_log_.front();
-  defer_log_.pop_front();
-  deferred_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
+  while (run_.size() < kMaxRun && !defer_log_.empty()) {
+    run_.push_back({defer_log_.front(), false, nullptr});
+    defer_log_.pop_front();
+    deferred_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  return !run_.empty();
 }
 
 void StreamService::drain_deferred() {
-  graph::GraphUpdate upd;
-  while (pop_deferred(upd)) process_one(upd, /*degraded=*/false, /*deferred=*/true);
+  while (pop_deferred_run()) process_run(/*deferred=*/true);
 }
 
 void StreamService::retry_deferred() {
@@ -255,8 +255,7 @@ void StreamService::retry_deferred() {
     return;
   }
   defer_backoff_ = 1;
-  graph::GraphUpdate upd;
-  if (pop_deferred(upd)) process_one(upd, /*degraded=*/false, /*deferred=*/true);
+  if (pop_deferred_run()) process_run(/*deferred=*/true);
 }
 
 void StreamService::consumer_loop() {
@@ -264,12 +263,20 @@ void StreamService::consumer_loop() {
   try {
     IngestItem item;
     while (queue_.pop_wait(item)) {
-      if (item.admin != nullptr) {
-        run_admin(*item.admin);
+      // A run: this item and whatever else is queued, up to kMaxRun updates.
+      // It stops before an admin op, so WAL order stays apply order.
+      AdminOp* admin = item.admin;
+      while (admin == nullptr) {
+        if (hooks_.slow_consumer) hooks_.slow_consumer();
+        run_.push_back(item);
+        if (run_.size() == kMaxRun || !queue_.try_pop(item)) break;
+        admin = item.admin;
+      }
+      if (!run_.empty()) process_run(/*deferred=*/false);
+      if (admin != nullptr) {
+        run_admin(*admin);
         continue;
       }
-      if (hooks_.slow_consumer) hooks_.slow_consumer();
-      process_one(item.upd, item.degraded, /*deferred=*/false);
       retry_deferred();
     }
     // Shutdown drain: shed updates are delayed, never dropped.
@@ -285,76 +292,95 @@ void StreamService::consumer_loop() {
   admin_cv_.notify_all();
 }
 
-void StreamService::process_one(const graph::GraphUpdate& upd, bool degraded,
-                                bool deferred) {
-  util::WallTimer timer;
-  // seq_ at entry is exactly the sequence this update gets (the constructor
-  // seeds it from the WAL and the tail of this function keeps it in sync).
-  PARACOSM_TRACE_SPAN(service_span, obs::EventKind::kServiceUpdate, seq_,
-                      static_cast<std::uint64_t>(upd.op));
-
-  // Durability point: the record is on disk before the engine sees the
-  // update. A crash in the window right after (after_wal_append) is exactly
-  // what recover_state's redo replay covers.
-  std::uint64_t seq = seq_;
-  if (wal_) {
-    {
-      PARACOSM_TRACE_SPAN(append_span, obs::EventKind::kWalAppend, seq_);
-      seq = wal_->append(upd);
-    }
-    {
-      PARACOSM_TRACE_SPAN(fsync_span, obs::EventKind::kWalFsync);
-      wal_->flush();
-    }
-    ++stats_.wal_records;
-    stats_.wal_retries = wal_->retries();
-    if (hooks_.after_wal_append) hooks_.after_wal_append(seq);
+void StreamService::write_run() {
+  // Durability point: every record of the run is on disk before the engine
+  // sees any of its updates. A crash after this (after_wal_append, or dying
+  // anywhere in the run) is exactly what recover_state's redo replay covers.
+  const std::uint64_t n = run_.size();
+  run_updates_.clear();
+  for (const IngestItem& it : run_) run_updates_.push_back(it.upd);
+  {
+    PARACOSM_TRACE_SPAN(append_span, obs::EventKind::kWalAppend, seq_, n);
+    (void)wal_->append(run_updates_);
   }
-  seq_ = seq + 1;
-
-  util::CancelView view{};
-  bool armed_watchdog = false;
-  std::uint64_t epoch = 0;
-  const bool forced = hooks_.force_timeout && hooks_.force_timeout(seq);
-  if (forced || budget_ns_ > 0) {
-    // The consumer is the token's only armer, so epochs come from a plain
-    // counter instead of CancelToken::arm()'s atomic RMW — monotonicity is
-    // all cancel()/is_cancelled() need, and this runs once per update.
-    epoch = ++arm_epoch_;
-    view = util::CancelView{&token_, epoch};
-    if (forced) {
-      // Deterministic over-budget outcome: the fresh epoch is cancelled up
-      // front, so the search aborts at its first cancellation check.
-      token_.cancel(epoch);
-    } else {
-      // Deadline base = the latency timer's stamp from function entry: one
-      // clock read per update, shared with accounting. The budget therefore
-      // covers the update end-to-end (WAL flush + search), which is what a
-      // latency SLO means anyway.
-      watchdog_->arm(&token_, epoch,
-                     timer.start() + std::chrono::nanoseconds(budget_ns_));
-      armed_watchdog = true;
-    }
+  {
+    PARACOSM_TRACE_SPAN(fsync_span, obs::EventKind::kWalFsync);
+    wal_->flush();
   }
+  stats_.wal_records += n;
+  ++stats_.wal_flushes;
+  stats_.wal_retries = wal_->retries();
+}
 
-  deliver_ = !degraded;
-  const csm::UpdateOutcome out = engine_.process(upd, into_, {}, view);
-  deliver_ = true;
-  if (armed_watchdog) watchdog_->disarm(epoch);
+void StreamService::process_run(bool deferred) {
+  // The run's dequeue is its first update's start; each later update starts
+  // where the one before it completed. So the first update carries the
+  // run's WAL write and fdatasync, no update's budget starts before the
+  // point where it would have started alone, and the run's latency samples
+  // sum to the consumer's time on the run.
+  util::Clock::time_point start = util::Clock::now();
+  for (std::size_t i = 0; i < run_.size(); ++i) {
+    const graph::GraphUpdate& upd = run_[i].upd;
+    // seq_ is exactly the sequence this update has: the constructor seeds
+    // it from the WAL, and a run advances both by its length.
+    const std::uint64_t seq = seq_;
+    PARACOSM_TRACE_SPAN(service_span, obs::EventKind::kServiceUpdate, seq,
+                        static_cast<std::uint64_t>(upd.op));
+    if (wal_) {
+      if (i == 0) write_run();
+      if (hooks_.after_wal_append) hooks_.after_wal_append(seq);
+    }
+    seq_ = seq + 1;
 
-  ++stats_.processed;
-  if (deferred) ++stats_.deferred_retries;
-  if (out.cancelled) ++stats_.degraded_searches;
-  if (!out.applied) ++stats_.noop_skipped;
-  latency_hist_.record(timer.elapsed_ns());
-  if (opts_.record_applied_order) applied_order_.push_back(upd);
+    util::CancelView view{};
+    bool armed_watchdog = false;
+    std::uint64_t epoch = 0;
+    const bool forced = hooks_.force_timeout && hooks_.force_timeout(seq);
+    if (forced || budget_ns_ > 0) {
+      // The consumer is the token's only armer, so epochs come from a plain
+      // counter instead of CancelToken::arm()'s atomic RMW — monotonicity is
+      // all cancel()/is_cancelled() need, and this runs once per update.
+      epoch = ++arm_epoch_;
+      view = util::CancelView{&token_, epoch};
+      if (forced) {
+        // Deterministic over-budget outcome: the fresh epoch is cancelled up
+        // front, so the search aborts at its first cancellation check.
+        token_.cancel(epoch);
+      } else {
+        // Deadline base = the update's start, shared with the latency
+        // accounting: the budget covers the update end to end (its share of
+        // the WAL flush, then the search), which is what a latency SLO
+        // means anyway.
+        watchdog_->arm(&token_, epoch,
+                       start + std::chrono::nanoseconds(budget_ns_));
+        armed_watchdog = true;
+      }
+    }
 
-  maybe_snapshot();
-  maybe_flush_metrics();
+    deliver_ = !run_[i].degraded;
+    const csm::UpdateOutcome out = engine_.process(upd, into_, {}, view);
+    deliver_ = true;
+    if (armed_watchdog) watchdog_->disarm(epoch);
 
-  if (on_done_)
-    on_done_(UpdateDone{seq, out.applied, out.cancelled || out.timed_out,
-                        out.positive, out.negative});
+    ++stats_.processed;
+    if (deferred) ++stats_.deferred_retries;
+    if (out.cancelled) ++stats_.degraded_searches;
+    if (!out.applied) ++stats_.noop_skipped;
+    if (opts_.record_applied_order) applied_order_.push_back(upd);
+
+    maybe_snapshot();
+    maybe_flush_metrics();
+
+    if (on_done_)
+      on_done_(UpdateDone{seq, out.applied, out.cancelled || out.timed_out,
+                          out.positive, out.negative});
+    const util::Clock::time_point done = util::Clock::now();
+    latency_hist_.record(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(done - start)
+            .count());
+    start = done;
+  }
+  run_.clear();
 }
 
 void StreamService::maybe_snapshot() {
@@ -410,6 +436,8 @@ void StreamService::flush_metrics() {
                    static_cast<std::int64_t>(stats_.noop_skipped));
   snap.add_counter("service.wal_records",
                    static_cast<std::int64_t>(stats_.wal_records));
+  snap.add_counter("service.wal_flushes",
+                   static_cast<std::int64_t>(stats_.wal_flushes));
   snap.add_counter("service.wal_retries",
                    static_cast<std::int64_t>(stats_.wal_retries));
   snap.add_counter("service.snapshots",
@@ -421,6 +449,8 @@ void StreamService::flush_metrics() {
                    static_cast<std::int64_t>(sum(into_.positive)));
   snap.add_counter("service.negative",
                    static_cast<std::int64_t>(sum(into_.negative)));
+  snap.add_counter("ingest.parks",
+                   static_cast<std::int64_t>(queue_.stats().parks));
   snap.add_histogram("service.latency_ns", latency_hist_);
   snap.write(opts_.metrics_path);
   ++stats_.metrics_flushes;

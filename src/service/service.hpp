@@ -3,34 +3,38 @@
 // The service serves a query catalogue: every registration of one
 // MultiQueryEngine, which a ParaCosm is with one registration. Producers push
 // updates into the bounded ingest ring (ingest.hpp); one consumer thread
-// drains it and, per update, walks the durability + deadline pipeline:
+// drains it in *runs* — an item and whatever else is queued behind it, up to
+// kMaxRun updates, stopping before an admin op — and walks the durability +
+// deadline pipeline:
 //
-//   pop → [slow-consumer fault] → WAL append + flush → [crash hook]
-//       → arm CancelToken (+ watchdog when a budget is set)
-//       → MultiQueryEngine::process → disarm → account
+//   pop run → [slow-consumer fault per item] → WAL append of the whole run
+//       → one flush → per update: [crash hook] → arm CancelToken (+ watchdog
+//       when a budget is set) → MultiQueryEngine::process → disarm → account
 //
-// The WAL append happens *before* the engine applies the update (redo
-// semantics, wal.hpp); the crash-recovery tests kill the process exactly in
-// between. A per-update search budget is enforced by the Watchdog thread
-// cancelling the update's armed epoch; the search stops at the next
-// cancellation check, the update is recorded as *degraded* (its ΔM counts may
-// be partial) and — crucially — graph/ADS maintenance still completed, so
-// state stays consistent and later updates are exact.
+// Group commit: every record of a run is on disk before the engine sees any
+// of its updates (redo semantics, wal.hpp), and WAL order is apply order. The
+// crash hook fires per record after the run's flush, just before that update
+// is applied; the crash-recovery tests kill the process there, and recovery
+// replays the run's unapplied rest. A per-update search budget is enforced by
+// the Watchdog thread cancelling the update's armed epoch; the search stops at
+// the next cancellation check, the update is recorded as *degraded* (its ΔM
+// counts may be partial) and — crucially — graph/ADS maintenance still
+// completed, so state stays consistent and later updates are exact.
 //
 // Overload behaviour is the ring's policy: kBlock backpressures the producer,
 // kShed returns the update to the caller, which submit() parks in a defer
-// log — the consumer replays deferred updates once queue depth drops below
-// half capacity (checked with exponential backoff while pressure persists)
-// and unconditionally drains the log at shutdown: shed updates are delayed,
-// never dropped. kDegrade admits the update flagged count-only: per-mapping
-// delivery is suppressed for every handle but ΔM counts and all state stay
-// exact.
+// log — the consumer replays deferred updates, as runs between ring runs,
+// once queue depth drops below half capacity (checked with exponential
+// backoff while pressure persists) and unconditionally drains the log at
+// shutdown: shed updates are delayed, never dropped. kDegrade admits the
+// update flagged count-only: per-mapping delivery is suppressed for every
+// handle but ΔM counts and all state stay exact.
 //
 // The admin plane (add_query, remove_query, drain) changes the catalogue
 // while the stream is live. An admin op travels through the ring as an
 // in-band item, so the per-update path pays nothing for it; the consumer
-// first empties the defer log, then applies the op between two updates,
-// and the caller blocks until it has. Catalogue changes are not logged: a
+// first empties the defer log, then applies the op between two updates (a
+// run stops before it), and the caller blocks until it has. Catalogue changes are not logged: a
 // recovering caller rebuilds the catalogue from its own schedule (DESIGN.md
 // §7).
 //
@@ -123,8 +127,10 @@ struct ServiceOptions {
   std::size_t queue_capacity = 1024;
   OverloadPolicy policy = OverloadPolicy::kBlock;
 
-  /// Per-update budget in microseconds, measured end-to-end from dequeue
-  /// (WAL flush + search); 0 disables the watchdog.
+  /// Per-update budget in microseconds, measured end-to-end from the
+  /// update's start (its run's dequeue for the first update, which carries
+  /// the run's WAL flush; the previous update's completion for the rest);
+  /// 0 disables the watchdog.
   std::int64_t budget_us = 0;
 
   /// Empty = durability off. A fresh log's header carries the fingerprint
@@ -165,17 +171,18 @@ struct ServiceReport {
   std::vector<std::uint64_t> handle_degraded;  ///< searches cut by the query's budget
   engine::MultiQueryStats mq;                  ///< sharing-tier counters
   std::int64_t wall_ns = 0;
-  /// Per-update end-to-end latency distribution (WAL flush + search). The
-  /// log-bucketed histogram replaces the old raw sample vector: constant
-  /// memory at any stream length, exact count/mean/max, quantiles within the
-  /// documented 1/32 relative-error bound (obs/histogram.hpp).
+  /// Per-update end-to-end latency distribution, from the update's start
+  /// (see ServiceOptions::budget_us) to its completion: a run's samples sum
+  /// to the consumer's time on the run. The log-bucketed histogram keeps
+  /// constant memory at any stream length, exact count/mean/max, quantiles
+  /// within the documented 1/32 relative-error bound (obs/histogram.hpp).
   obs::Histogram latency;
   std::vector<graph::GraphUpdate> applied_order;  ///< see record_applied_order
   std::string error;  ///< non-empty if the consumer died (e.g. WAL I/O)
 };
 
 /// Completion summary of one processed update, delivered on the consumer
-/// thread right after the engine returns (before the next pop).
+/// thread right after the engine returns (before the next update).
 struct UpdateDone {
   std::uint64_t seq = 0;   ///< WAL sequence (or the stand-in counter)
   bool applied = false;    ///< the graph mutation took effect
@@ -243,11 +250,17 @@ class StreamService {
   StreamService(engine::MultiQueryEngine& engine, engine::MultiStreamResult* into,
                 ServiceOptions opts, FaultHooks hooks);
 
+  /// Most updates one run takes: one WAL write and one fdatasync cover them.
+  static constexpr std::size_t kMaxRun = 64;
+
   void consumer_loop();
-  void process_one(const graph::GraphUpdate& upd, bool degraded, bool deferred);
+  /// Make run_ durable, then apply and deliver its updates one by one.
+  void process_run(bool deferred);
+  void write_run();
   void retry_deferred();
   void drain_deferred();
-  [[nodiscard]] bool pop_deferred(graph::GraphUpdate& out);
+  /// Move up to kMaxRun deferred updates into run_; false if there were none.
+  [[nodiscard]] bool pop_deferred_run();
   void run_admin(AdminOp& op);
   void run_on_consumer(std::function<void()> fn);
   void observe(std::size_t handle);
@@ -284,7 +297,9 @@ class StreamService {
   bool consumer_exited_ = false;
 
   // Consumer-thread state.
-  std::uint64_t seq_ = 0;  ///< stands in for WAL seq when durability is off
+  std::vector<IngestItem> run_;              ///< the run being processed
+  std::vector<graph::GraphUpdate> run_updates_;  ///< run_'s updates, for the WAL
+  std::uint64_t seq_ = 0;  ///< next update's seq (the WAL's, or a stand-in)
   std::uint64_t since_snapshot_ = 0;
   std::uint64_t since_metrics_ = 0;
   bool deliver_ = true;    ///< false while processing a degraded update

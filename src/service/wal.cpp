@@ -39,14 +39,15 @@ void put_u64(unsigned char* p, std::uint64_t v) noexcept {
 
 using RecordBuf = std::array<unsigned char, kWalRecordBytes>;
 
+/// Encode one record into the kWalRecordBytes at `p`.
 void encode_record(std::uint64_t seq, const graph::GraphUpdate& upd,
-                   RecordBuf& buf) noexcept {
-  put_u64(buf.data(), seq);
-  put_u32(buf.data() + 8, static_cast<std::uint32_t>(upd.op));
-  put_u32(buf.data() + 12, upd.u);
-  put_u32(buf.data() + 16, upd.v);
-  put_u32(buf.data() + 20, upd.label);
-  put_u64(buf.data() + 24, wal_checksum(seq, upd));
+                   unsigned char* p) noexcept {
+  put_u64(p, seq);
+  put_u32(p + 8, static_cast<std::uint32_t>(upd.op));
+  put_u32(p + 12, upd.u);
+  put_u32(p + 16, upd.v);
+  put_u32(p + 20, upd.label);
+  put_u64(p + 24, wal_checksum(seq, upd));
 }
 
 [[nodiscard]] std::uint64_t header_checksum(std::uint32_t version,
@@ -162,12 +163,14 @@ void WalWriter::write_all(const unsigned char* data, std::size_t len) {
   }
 }
 
-std::uint64_t WalWriter::append(const graph::GraphUpdate& upd) {
-  const std::uint64_t seq = next_seq_++;
-  RecordBuf buf;
-  encode_record(seq, upd, buf);
-  write_all(buf.data(), buf.size());
-  return seq;
+std::uint64_t WalWriter::append(std::span<const graph::GraphUpdate> run) {
+  const std::uint64_t first = next_seq_;
+  buf_.resize(run.size() * kWalRecordBytes);
+  for (std::size_t i = 0; i < run.size(); ++i)
+    encode_record(first + i, run[i], buf_.data() + i * kWalRecordBytes);
+  write_all(buf_.data(), buf_.size());
+  next_seq_ += run.size();
+  return first;
 }
 
 void WalWriter::flush() {

@@ -21,7 +21,9 @@
 // them.
 //
 // Records are appended *before* the update is applied (redo semantics): a
-// crash between append and apply replays that update on recovery, and replay
+// crash between append and apply replays that update on recovery — the
+// service appends a whole run and flushes it before applying any of it, so a
+// crash mid-run replays the run's unapplied rest — and replay
 // is idempotent because DataGraph::apply treats an already-applied update as
 // a no-op. The writer sits on a raw POSIX fd so the durability point is a
 // real fdatasync, and transient append/sync failures (EINTR, EAGAIN, an
@@ -47,6 +49,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -91,13 +94,18 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Append one record; returns the sequence number it received. Transient
-  /// write failures are retried with capped backoff (see file comment);
-  /// a persistent failure throws std::runtime_error.
-  std::uint64_t append(const graph::GraphUpdate& upd);
+  /// Append a run of records, consecutive seqs, in one write; returns the
+  /// first record's seq. Transient write failures are retried with capped
+  /// backoff (see file comment); a persistent failure throws
+  /// std::runtime_error.
+  std::uint64_t append(std::span<const graph::GraphUpdate> run);
+  std::uint64_t append(const graph::GraphUpdate& upd) {
+    return append(std::span<const graph::GraphUpdate>(&upd, 1));
+  }
 
   /// Make appended records durable (fdatasync) — the durability point the
-  /// crash-recovery tests kill against. Retries transient failures.
+  /// crash-recovery tests kill against; the service calls it once per run.
+  /// Retries transient failures.
   void flush();
 
   [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
@@ -120,6 +128,7 @@ class WalWriter {
   int fd_ = -1;
   std::uint64_t next_seq_ = 0;
   std::uint64_t retries_ = 0;
+  std::vector<unsigned char> buf_;  ///< encoded run, reused across appends
   int fault_remaining_ = 0;
   int fault_errno_ = 0;
 };

@@ -171,25 +171,30 @@ std::vector<Divergence> check_crash_recovery(const FuzzCase& c,
   for (std::uint32_t point = 0; point < opts.crash_points; ++point) {
     const std::uint32_t k =
         static_cast<std::uint32_t>(rng.bounded(c.stream.size()));
+    // The rest of k's run: the service makes a whole run (up to 64 records)
+    // durable before applying any of it, so a kill before update k can leave
+    // up to 63 later records durable too.
+    const std::uint32_t last = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(k + rng.bounded(64), c.stream.size() - 1));
     const std::string wal_path =
         opts.dir + "/crash_" + std::to_string(point) + ".wal";
     const std::string snap_path =
         opts.dir + "/crash_" + std::to_string(point) + ".snap";
 
-    // Build the crashed-process disk image: records 0..k durable, but the
+    // Build the crashed-process disk image: records 0..last durable, but the
     // engine only applied 0..k-1 — the append-before-apply redo window.
     graph::DataGraph expect = c.graph;
     {
       service::WalWriter w(wal_path, /*truncate=*/true);
-      for (std::uint32_t i = 0; i <= k; ++i) {
+      for (std::uint32_t i = 0; i <= last; ++i) {
         (void)w.append(c.stream[i]);
-        expect.apply(c.stream[i]);  // ground truth includes record k
+        expect.apply(c.stream[i]);  // ground truth includes records k..last
       }
       w.flush();
     }
     const bool torn = rng.chance(0.5);
     if (torn) {
-      // Crash mid-append of record k+1: a partial record past the good tail.
+      // Crash mid-append of the next run: a partial record past the good tail.
       std::ofstream f(wal_path, std::ios::binary | std::ios::app);
       const char junk[13] = {0x7f, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06,
                              0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c};
@@ -211,17 +216,18 @@ std::vector<Divergence> check_crash_recovery(const FuzzCase& c,
         service::recover_state(c.graph, wal_path, snap ? snap_path : "");
 
     std::ostringstream at;
-    at << "kill point " << point << " (update " << k
-       << (torn ? ", torn tail" : "") << (snap ? ", snapshot" : "") << "): ";
+    at << "kill point " << point << " (update " << k << ", durable through "
+       << last << (torn ? ", torn tail" : "") << (snap ? ", snapshot" : "")
+       << "): ";
     if (torn && !rec.torn_tail_truncated) {
       out.push_back(make_div(c, opts, at.str() + "torn tail not detected"));
       continue;
     }
-    if (rec.next_seq != k + 1) {
+    if (rec.next_seq != last + 1) {
       out.push_back(make_div(c, opts,
                              at.str() + "recovered next_seq " +
                                  std::to_string(rec.next_seq) + ", want " +
-                                 std::to_string(k + 1)));
+                                 std::to_string(last + 1)));
       continue;
     }
     if (snap != rec.used_snapshot) {
@@ -248,7 +254,7 @@ std::vector<Divergence> check_crash_recovery(const FuzzCase& c,
 
     // Resume: re-run the offline stage on the recovered graph and finish the
     // stream; the continuation must be oracle-exact.
-    const std::vector<graph::GraphUpdate> suffix(c.stream.begin() + k + 1,
+    const std::vector<graph::GraphUpdate> suffix(c.stream.begin() + last + 1,
                                                  c.stream.end());
     const OracleTrace tail =
         build_trace(q, rec.graph, suffix, el, /*strict=*/false);

@@ -7,13 +7,15 @@
 //
 //   kNone          — plain service run (block policy): totals and final graph
 //                    must be oracle-exact. Baseline sanity for the pipeline.
-//   kCrashRecovery — for N seeded kill points k: build a WAL whose record k
-//                    is appended but NOT applied (the crash window), half the
+//   kCrashRecovery — for N seeded kill points k: build a WAL whose records
+//                    k..k+t (t random in 0..63, the rest of k's run) are
+//                    durable but NOT applied (the crash window), half the
 //                    time with a torn trailing half-record and/or a mid-run
 //                    snapshot; recover_state must reproduce the prefix graph
-//                    through k exactly (torn tail truncated, snapshot
-//                    cross-checked via fresh attach), and the engine must
-//                    then finish the remaining stream oracle-exactly.
+//                    through k+t exactly and resume after it (torn tail
+//                    truncated, snapshot cross-checked via fresh attach), and
+//                    the engine must then finish the remaining stream
+//                    oracle-exactly.
 //   kForcedTimeout — a seeded ≥`timeout_rate` slice of updates is forced
 //                    over-budget. Degraded counts may be partial (only ever
 //                    missing matches, never inventing them), but the final

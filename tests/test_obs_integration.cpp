@@ -16,6 +16,7 @@
 #include "csm/algorithm.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/trace_ring.hpp"
+#include "paracosm/multi_query.hpp"
 #include "paracosm/paracosm.hpp"
 #include "service/service.hpp"
 #include "tests/test_support.hpp"
@@ -304,11 +305,19 @@ TEST(ObsIntegration, ServiceSpansAndPeriodicMetricsFlush) {
   EXPECT_EQ(report.stats.processed, wl.stream.size());
 
   // One service span per processed update; one WAL append + fsync span per
-  // durable record; one metrics-flush span per snapshot written (periodic
-  // flushes every 10 updates plus the final flush in finish()).
+  // run (group commit), whose run lengths add up to the durable records; one
+  // metrics-flush span per snapshot written (periodic flushes every 10
+  // updates plus the final flush in finish()).
   EXPECT_EQ(trace.count(EventKind::kServiceUpdate), report.stats.processed);
-  EXPECT_EQ(trace.count(EventKind::kWalAppend), report.stats.wal_records);
-  EXPECT_EQ(trace.count(EventKind::kWalFsync), report.stats.wal_records);
+  EXPECT_EQ(report.stats.wal_records, report.stats.processed);
+  EXPECT_EQ(trace.count(EventKind::kWalAppend), report.stats.wal_flushes);
+  EXPECT_EQ(trace.count(EventKind::kWalFsync), report.stats.wal_flushes);
+  std::uint64_t run_records = 0;
+  for (const RingSnapshot& ring : trace.rings)
+    for (const TraceEvent& ev : ring.events)
+      if (ev.kind == static_cast<std::uint32_t>(EventKind::kWalAppend))
+        run_records += ev.b;
+  EXPECT_EQ(run_records, report.stats.wal_records);
   EXPECT_EQ(report.stats.metrics_flushes,
             report.stats.processed / sopts.metrics_every + 1);
   EXPECT_EQ(trace.count(EventKind::kMetricsFlush), report.stats.metrics_flushes);
@@ -356,6 +365,36 @@ TEST(ObsIntegration, SkippedWithoutTraceInstrumentation) {
 }
 
 #endif
+
+// ------------------------------------------------------- ring allocation
+
+/// This process's resident set size in kB (VmRSS), or -1 if unreadable.
+[[nodiscard]] std::int64_t rss_kb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6));
+  return -1;
+}
+
+// Pool workers name their lanes, but at trace level 0 they record nothing, so
+// no thread allocates a ring: building and destroying engines leaves RSS
+// flat (a ring per named thread would cost 1 MiB per worker per engine).
+TEST(ObsIntegration, NamedThreadsAllocateNoRingAtLevelZero) {
+  ASSERT_EQ(obs::trace_level(), 0);
+  testing::SmallWorkload wl = testing::make_workload(/*seed=*/5);
+  engine::Config cfg;
+  cfg.threads = 4;
+  const auto cycle = [&] {
+    engine::MultiQueryEngine engine(wl.graph, cfg);
+    engine.add_query("graphflow", wl.query);
+  };
+  cycle();  // warm-up: allocator arenas and lazy statics
+  const std::int64_t before = rss_kb();
+  ASSERT_GT(before, 0) << "cannot read VmRSS";
+  for (int i = 0; i < 50; ++i) cycle();
+  EXPECT_LT(rss_kb() - before, 16 * 1024) << "RSS grew by more than 16 MB";
+}
 
 }  // namespace
 }  // namespace paracosm

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -27,7 +29,9 @@
 #include "service/service.hpp"
 #include "service/wal.hpp"
 #include "tests/test_support.hpp"
+#include "util/rng.hpp"
 #include "verify/fuzzer.hpp"
+#include "verify/oracle_mirror.hpp"
 #include "verify/service_check.hpp"
 
 namespace paracosm {
@@ -41,6 +45,15 @@ using service::PushResult;
 
 std::string tmp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+engine::Config catalogue_config() {
+  engine::Config cfg;
+  cfg.threads = 2;
+  cfg.inter_parallelism = false;
+  cfg.queue_spin_iters = 1;
+  cfg.pool_spin_iters = 1;
+  return cfg;
 }
 
 // ------------------------------------------------------------------ ingest
@@ -135,6 +148,74 @@ TEST(IngestQueue, MpscStressKeepsEveryUpdate) {
   EXPECT_EQ(popped, static_cast<std::uint64_t>(kProducers) * kPerProducer);
   EXPECT_TRUE(order_ok);
   EXPECT_GE(q.stats().blocked_pushes, 1u);  // capacity 16 vs 2000 pushes
+}
+
+// Producers with random gaps, from none to several times the consumer's
+// spin phase, so the consumer parks often. pop_wait has no timeout: a lost
+// wake-up hangs this test (the ctest timeout catches it).
+TEST(IngestQueue, ParkedConsumerWakesForEveryPush) {
+  IngestQueue q(64, OverloadPolicy::kBlock);
+  constexpr int kProducers = 2, kPerProducer = 10'000;
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p)
+    producers.emplace_back([&q, p] {
+      util::Rng rng(0x9a7eULL + static_cast<std::uint64_t>(p));
+      for (int i = 0; i < kPerProducer; ++i) {
+        if (rng.chance(0.75))
+          std::this_thread::sleep_for(std::chrono::microseconds(rng.bounded(200)));
+        (void)q.push(GraphUpdate::insert_edge(static_cast<graph::VertexId>(p),
+                                              static_cast<graph::VertexId>(i), 0));
+      }
+    });
+
+  std::uint64_t popped = 0;
+  int next[kProducers] = {};
+  bool order_ok = true;
+  std::thread consumer([&] {
+    IngestItem item;
+    while (q.pop_wait(item)) {
+      ++popped;
+      const auto p = static_cast<int>(item.upd.u);
+      if (static_cast<int>(item.upd.v) != next[p]) order_ok = false;
+      next[p] = static_cast<int>(item.upd.v) + 1;
+    }
+  });
+  for (std::thread& t : producers) t.join();
+  q.close();
+  consumer.join();
+  EXPECT_EQ(popped, static_cast<std::uint64_t>(kProducers) * kPerProducer);
+  EXPECT_TRUE(order_ok);
+  EXPECT_GT(q.stats().parks, 0u) << "the consumer never parked";
+}
+
+// A parked consumer wakes for an admin op and for close().
+TEST(IngestQueue, AdminPushAndCloseWakeAParkedConsumer) {
+  IngestQueue q(8, OverloadPolicy::kBlock);
+  const auto wait_for_parks = [&q](std::uint64_t n) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (q.stats().parks < n && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return q.stats().parks >= n;
+  };
+  int token = 0;  // an opaque admin pointer: the queue never dereferences it
+  auto* const op = reinterpret_cast<service::AdminOp*>(&token);
+  std::atomic<int> admin_seen{0};
+  std::atomic<bool> stopped{false};
+  std::thread consumer([&] {
+    IngestItem item;
+    while (q.pop_wait(item))
+      if (item.admin == op) admin_seen.fetch_add(1);
+    stopped.store(true);
+  });
+  ASSERT_TRUE(wait_for_parks(1)) << "the idle consumer never parked";
+  q.push_admin(op);
+  ASSERT_TRUE(wait_for_parks(2)) << "the consumer did not wake for the admin op";
+  EXPECT_EQ(admin_seen.load(), 1);
+  EXPECT_FALSE(stopped.load());
+  q.close();
+  consumer.join();
+  EXPECT_TRUE(stopped.load());
+  EXPECT_EQ(q.stats().enqueued, 0u);  // admin ops are not counted
 }
 
 // --------------------------------------------------------------------- WAL
@@ -443,6 +524,136 @@ TEST(StreamService, CrashRecoveryMatrix25KillPoints) {
     ADD_FAILURE() << d.to_string();
 }
 
+// Updates that queue behind a held consumer are made durable in runs: one
+// fdatasync covers many records.
+TEST(StreamService, GroupCommitSharesOneFlushAcrossQueuedUpdates) {
+  testing::SmallWorkload wl = testing::make_workload(/*seed=*/440);
+  ASSERT_FALSE(wl.stream.empty());
+  constexpr std::size_t kQueued = 256;
+  engine::MultiQueryEngine engine(wl.graph, catalogue_config());
+  engine.add_query("graphflow", wl.query);
+  service::ServiceOptions opts;
+  opts.queue_capacity = kQueued;
+  opts.wal_path = tmp_path("group_commit.wal");
+  std::atomic<bool> release{false};
+  service::FaultHooks hooks;
+  hooks.slow_consumer = [&release] {
+    while (!release.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
+  };
+  service::ServiceReport report;
+  {
+    service::StreamService svc(engine, opts, hooks);
+    // Repeats become no-op inserts and deletes: still one record each.
+    for (std::size_t i = 0; i < kQueued; ++i)
+      (void)svc.submit(wl.stream[i % wl.stream.size()]);
+    release.store(true);
+    report = svc.finish();
+  }
+  ASSERT_TRUE(report.error.empty()) << report.error;
+  EXPECT_EQ(report.stats.processed, kQueued);
+  EXPECT_EQ(report.stats.wal_records, kQueued);
+  EXPECT_GE(report.stats.wal_flushes, 1u);
+  EXPECT_LT(report.stats.wal_flushes, report.stats.wal_records);
+  EXPECT_EQ(service::read_wal(opts.wal_path).records.size(), kQueued);
+}
+
+// A kill in the middle of a run: at each kill seq K the WAL on disk holds K's
+// whole run, while exactly K updates have been applied. Recovering from that
+// disk image and serving the rest is oracle-exact.
+TEST(StreamService, KillMidRunLeavesTheRunDurableAndRecoversExactly) {
+  const testing::SmallWorkload wl =
+      testing::make_workload(/*seed=*/450, /*n=*/96, /*m=*/480);
+  ASSERT_GE(wl.stream.size(), 140u);
+  const graph::DataGraph base = wl.graph;
+  const std::string dir = tmp_path("kill_mid_run");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string wal = dir + "/live.wal";
+  const std::vector<std::uint64_t> kills = {0, 5, 70, wl.stream.size() - 1};
+  constexpr std::size_t kCapacity = 64;
+
+  std::map<std::uint64_t, std::uint64_t> applied_at_kill;
+  std::uint64_t completed = 0;  // consumer thread only
+  std::atomic<bool> release{false};
+  service::FaultHooks hooks;
+  hooks.slow_consumer = [&release] {
+    while (!release.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
+  };
+  hooks.after_wal_append = [&](std::uint64_t seq) {
+    if (std::find(kills.begin(), kills.end(), seq) == kills.end()) return;
+    std::filesystem::copy_file(wal, dir + "/kill_" + std::to_string(seq) + ".wal",
+                               std::filesystem::copy_options::overwrite_existing);
+    applied_at_kill[seq] = completed;
+  };
+  {
+    graph::DataGraph g = wl.graph;
+    engine::MultiQueryEngine engine(g, catalogue_config());
+    engine.add_query("graphflow", wl.query);
+    service::ServiceOptions opts;
+    opts.queue_capacity = kCapacity;
+    opts.wal_path = wal;
+    service::StreamService svc(engine, opts, hooks);
+    svc.set_update_callback([&completed](const service::UpdateDone&) { ++completed; });
+    std::thread producer([&] {
+      for (const GraphUpdate& u : wl.stream) (void)svc.submit(u);
+    });
+    // Hold the consumer until the ring has filled behind it.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (svc.queue().approx_size() < kCapacity &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    release.store(true);
+    producer.join();
+    const service::ServiceReport report = svc.finish();
+    ASSERT_TRUE(report.error.empty()) << report.error;
+    ASSERT_EQ(report.stats.processed, wl.stream.size());
+  }
+
+  bool some_run_beyond_kill = false;
+  for (const std::uint64_t k : kills) {
+    SCOPED_TRACE("kill at seq " + std::to_string(k));
+    const std::string image = dir + "/kill_" + std::to_string(k) + ".wal";
+    ASSERT_EQ(applied_at_kill.count(k), 1u);
+    EXPECT_EQ(applied_at_kill[k], k);
+    const std::size_t durable = service::read_wal(image).records.size();
+    EXPECT_GE(durable, k + 1);
+    some_run_beyond_kill |= durable > k + 1;
+
+    service::RecoveredState rec = service::recover_state(base, image);
+    ASSERT_EQ(rec.next_seq, durable);
+    const std::span<const GraphUpdate> all(wl.stream);
+    graph::DataGraph prefix = base;
+    for (const GraphUpdate& u : all.first(durable)) prefix.apply(u);
+    ASSERT_TRUE(rec.graph.same_structure(prefix));
+
+    // Serve the rest on the recovered graph, appending to the copied log.
+    const std::span<const GraphUpdate> rest = all.subspan(durable);
+    const verify::OracleTrace truth = verify::build_trace(
+        wl.query, rec.graph, rest,
+        csm::make_algorithm("graphflow")->uses_edge_labels(), /*strict=*/false);
+    graph::DataGraph g = rec.graph;
+    engine::MultiQueryEngine engine(g, catalogue_config());
+    engine.add_query("graphflow", wl.query);
+    service::ServiceOptions opts;
+    opts.wal_path = image;
+    opts.wal_resume = true;
+    opts.wal_next_seq = rec.next_seq;
+    service::ServiceReport report;
+    {
+      service::StreamService svc(engine, opts);
+      for (const GraphUpdate& u : rest) (void)svc.submit(u);
+      report = svc.finish();
+    }
+    ASSERT_TRUE(report.error.empty()) << report.error;
+    EXPECT_EQ(report.positive, truth.total_positive);
+    EXPECT_EQ(report.negative, truth.total_negative);
+    EXPECT_TRUE(g.same_structure(truth.final_graph));
+    EXPECT_EQ(service::read_wal(image).records.size(), wl.stream.size());
+  }
+  EXPECT_TRUE(some_run_beyond_kill)
+      << "no kill point found more than its own record durable";
+}
+
 TEST(StreamService, WatchdogBudgetRunSurvives) {
   testing::SmallWorkload wl = testing::make_workload(/*seed=*/400);
   const auto alg = csm::make_algorithm("graphflow");
@@ -473,15 +684,6 @@ TEST(StreamService, WatchdogBudgetRunSurvives) {
 }
 
 // ----------------------------------------------------- catalogue serving
-
-engine::Config catalogue_config() {
-  engine::Config cfg;
-  cfg.threads = 2;
-  cfg.inter_parallelism = false;
-  cfg.queue_spin_iters = 1;
-  cfg.pool_spin_iters = 1;
-  return cfg;
-}
 
 // A fresh service WAL records its graph's fingerprint, so recovering it onto
 // another graph is refused instead of replaying foreign records.

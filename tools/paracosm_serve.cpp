@@ -13,7 +13,8 @@
 // --add-at / --remove-at change the catalogue at stream positions.
 //
 // Crash drill (the CI smoke job): run once with --kill-at N — the process
-// _exits(137) the instant record N is durable but not yet applied — then run
+// _exits(137) just before update N is applied, with the whole WAL run that
+// holds record N durable and updates N onward unapplied — then run
 // again with --recover; the service replays the WAL suffix, rebuilds the
 // catalogue from the command line (the initial queries, then every --add-at /
 // --remove-at at or before the resume point, in order) and finishes the
@@ -153,6 +154,7 @@ void write_json_report(const std::string& path, const service::ServiceReport& r,
       << "  \"noop_skipped\": " << s.noop_skipped << ",\n"
       << "  \"snapshots\": " << s.snapshots << ",\n"
       << "  \"wal_records\": " << s.wal_records << ",\n"
+      << "  \"wal_flushes\": " << s.wal_flushes << ",\n"
       << "  \"queries\": [\n";
   // Counts are per handle: a reused handle sums its registrations.
   for (std::size_t i = 0; i < regs.size(); ++i) {
@@ -185,7 +187,8 @@ void write_json_report(const std::string& path, const service::ServiceReport& r,
       << "    \"degraded\": " << s.ingest.degraded << ",\n"
       << "    \"blocked_pushes\": " << s.ingest.blocked_pushes << ",\n"
       << "    \"blocked_ns\": " << s.ingest.blocked_ns << ",\n"
-      << "    \"high_water\": " << s.ingest.high_water << "\n"
+      << "    \"high_water\": " << s.ingest.high_water << ",\n"
+      << "    \"parks\": " << s.ingest.parks << "\n"
       << "  },\n"
       << "  \"latency_ns\": {\n"
       << "    \"count\": " << lat.count << ",\n"
@@ -282,7 +285,8 @@ int main(int argc, char** argv) {
       .option("snapshot", "", "snapshot path (empty = snapshots off)")
       .option("snapshot-every", "0", "updates between snapshots (0 = never)")
       .option("kill-at", "-1",
-              "fault: _exit(137) after WAL record N is durable, before apply")
+              "fault: _exit(137) once the WAL run holding record N is "
+              "durable, before update N is applied")
       .option("timeout-rate", "0",
               "fault: force this fraction of searches over budget")
       .option("slow-consumer-us", "0", "fault: per-update consumer delay")
@@ -580,15 +584,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(mq.searches_shared),
               static_cast<unsigned long long>(mq.searches_skipped));
   std::printf("ingest: %llu enqueued, %llu shed, %llu degraded, high water %llu, "
-              "%llu blocked push(es) (%.3f ms)\n",
+              "%llu blocked push(es) (%.3f ms), %llu consumer park(s)\n",
               static_cast<unsigned long long>(s.ingest.enqueued),
               static_cast<unsigned long long>(s.ingest.shed),
               static_cast<unsigned long long>(s.ingest.degraded),
               static_cast<unsigned long long>(s.ingest.high_water),
               static_cast<unsigned long long>(s.ingest.blocked_pushes),
-              static_cast<double>(s.ingest.blocked_ns) / 1e6);
-  std::printf("durability: %llu WAL record(s), %llu snapshot(s)\n",
+              static_cast<double>(s.ingest.blocked_ns) / 1e6,
+              static_cast<unsigned long long>(s.ingest.parks));
+  std::printf("durability: %llu WAL record(s) in %llu flush(es), %llu "
+              "snapshot(s)\n",
               static_cast<unsigned long long>(s.wal_records),
+              static_cast<unsigned long long>(s.wal_flushes),
               static_cast<unsigned long long>(s.snapshots));
   std::printf("latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, p99.9 %.3f ms, "
               "max %.3f ms\n",
